@@ -6,8 +6,9 @@ finished campaign costs index lookups, not recomputation.  Two claims:
 * **Resume skip is cheap.** Re-scheduling a fully completed campaign
   (every cell skipped via the index) costs well under 5 % of executing
   it — otherwise "resumable" would be a lie for large grids.
-* **Store writes don't dominate.** Writing a cell record (atomic JSON +
-  index update) is milliseconds — small next to even the tiniest real
+* **Store writes don't dominate.** Writing a cell record (atomic JSON;
+  the index is persisted once per scheduler round, not per record) is
+  milliseconds — small next to even the tiniest real
   cell — measured here as the per-record wall time over a 64-record
   burst.
 

@@ -6,7 +6,12 @@ quarantined (a record with the traceback) — while guaranteeing:
 
 * **Resumability**: a cell already in the store is skipped, never
   recomputed; killing a campaign at any instant loses at most the cells
-  in flight.  Completed records are never rewritten on resume.
+  in flight, because each cell's record is written as soon as its
+  outcome reaches the driver, while the rest of its round still runs.
+  ``index.json`` is written once at the end of every round (also when a
+  round is interrupted); a kill mid-round leaves it one round behind,
+  which the next open of the store heals from the records.  Completed
+  records are never rewritten on resume.
 * **Fault isolation**: an exception inside a cell is caught *in the
   worker* and returned as data, retried with capped exponential backoff,
   and finally quarantined — one broken configuration cannot abort the
@@ -173,6 +178,7 @@ def _execute_cell(config: Dict[str, Any],
         registry.enable_spans(context=span_ctx)
     kind = config["kind"]
     params = dict(config["params"])
+    manifest = RunManifest("campaign-cell", config)
     started = time.perf_counter()
     cpu_started = time.process_time()
     with registry.timer("cell"):
@@ -199,7 +205,6 @@ def _execute_cell(config: Dict[str, Any],
             payload = {"stats": {name: s.as_dict()
                                  for name, s in stats.items()}}
     duration = time.perf_counter() - started
-    manifest = RunManifest("campaign-cell", config)
     manifest.finish()
     return {
         "payload": payload,
@@ -228,8 +233,8 @@ def _crashing_cell_worker(config, span_ctx=None):  # pragma: no cover - subproce
 
 
 def _crash_marked_cell_worker(config, span_ctx=None):  # pragma: no cover - subprocess
-    """Fault injection: cells whose params carry ``crash_marker`` die
-    hard; everything else runs normally."""
+    """Fault injection: cells with ``length == 4242`` die hard;
+    everything else runs normally."""
     if config["params"].get("length") == 4242:
         os._exit(13)
     return _cell_worker(config, span_ctx)
@@ -373,9 +378,8 @@ class CampaignScheduler:
         pending = [c for c in cells if not self.store.is_done(c.cell_id)]
         summary.skipped = len(cells) - len(pending)
         self._count("cells.skipped", summary.skipped)
-        accounted = summary.skipped
         if self.on_progress is not None:
-            self.on_progress(accounted, len(cells))
+            self.on_progress(summary.skipped, len(cells))
         if not pending:
             return summary
 
@@ -407,67 +411,105 @@ class CampaignScheduler:
                 log.info("retry round %d: backing off %.2fs for %d "
                          "cell(s)", round_no, delay, len(batch))
                 time.sleep(delay)
-            if isolate and self.max_workers > 1:
-                # The previous round lost its pool to a crashing worker,
-                # which also breaks innocent siblings' futures.  Re-try
-                # each casualty in a pool of its own so the poisoned cell
-                # can only take itself down.
-                outcomes = []
-                for c in batch:
-                    outcomes.extend(run_tasks(
-                        worker, [c.config()],
-                        max_workers=self.max_workers,
-                        registry=self.registry))
-            else:
-                outcomes = run_tasks(
-                    worker, [c.config() for c in batch],
-                    max_workers=self.max_workers, registry=self.registry)
-            requeue: List[Cell] = []
-            any_failures = False
-            isolate = False
-            for cell, (status, value) in zip(batch, outcomes):
-                attempt = attempts.get(cell.cell_id, 0) + 1
-                attempts[cell.cell_id] = attempt
+            try:
+                requeue, any_failures, isolate = self._run_round(
+                    worker, batch, isolate, attempts, summary)
+            finally:
+                self.store.write_index()
+            pending = requeue + rest
+            round_no = round_no + 1 if any_failures else round_no
+        return summary
+
+    def _run_round(self, worker: Callable, batch: List[Cell], isolate: bool,
+                   attempts: Dict[str, int], summary: CampaignRunSummary
+                   ) -> Tuple[List[Cell], bool, bool]:
+        """Run one round, recording each cell as its outcome arrives.
+
+        Returns the cells to retry, in batch order, and whether any cell
+        failed and whether any crashed its worker.  A record that cannot
+        be written (e.g. a full disk) is raised once the round's
+        in-flight cells have drained: raising inside ``run_tasks``'
+        callback would look like a broken pool and re-run the round.
+        """
+        retry: List[int] = []
+        crashed = failed = False
+        handled: Set[int] = set()
+        errors: List[Exception] = []
+
+        def record(i: int, outcome: Tuple[str, Any]) -> None:
+            nonlocal crashed, failed
+            # A pool that fails mid-round makes ``run_tasks`` re-run the
+            # whole round in-process; the first outcome of a cell wins.
+            if i in handled or errors:
+                return
+            handled.add(i)
+            cell = batch[i]
+            status, value = outcome
+            attempt = attempts.get(cell.cell_id, 0) + 1
+            attempts[cell.cell_id] = attempt
+            try:
                 if status == TASK_OK and value[0] == "done":
                     self._record_done(cell, value[1], attempt)
                     summary.completed += 1
-                    accounted += 1
                 elif status == TASK_OK:  # soft failure inside the worker
-                    any_failures = True
+                    failed = True
                     _kind, error, tb = value
                     if attempt >= self.retry.max_attempts:
                         self._record_quarantine(cell, error, tb, attempt,
                                                 summary)
-                        accounted += 1
                     else:
                         self._count("cells.retried")
                         summary.retried += 1
                         log.warning("cell %s failed (%s); attempt %d/%d",
                                     cell.label, error, attempt,
                                     self.retry.max_attempts)
-                        requeue.append(cell)
+                        retry.append(i)
                 else:  # the worker (or its pool) crashed
-                    any_failures = True
-                    isolate = True
+                    failed = crashed = True
                     summary.crashes += 1
                     self._count("pool.crash")
                     if attempt >= self.retry.max_attempts:
                         self._record_quarantine(
                             cell, f"worker crashed: {value}", "", attempt,
                             summary)
-                        accounted += 1
                     else:
                         self._count("cells.retried")
                         summary.retried += 1
                         log.warning("cell %s crashed its worker (%s); "
                                     "attempt %d/%d", cell.label, value,
                                     attempt, self.retry.max_attempts)
-                        requeue.append(cell)
+                        retry.append(i)
                 if self.on_progress is not None:
-                    self.on_progress(accounted, len(cells))
-            pending = requeue + rest
-            round_no = round_no + 1 if any_failures else round_no
-        return summary
+                    self.on_progress(summary.skipped + summary.completed
+                                     + summary.quarantined, summary.total)
+            except Exception as exc:
+                errors.append(exc)
+
+        if isolate and self.max_workers > 1:
+            # The previous round lost its pool to a crashing worker,
+            # which also breaks innocent siblings' futures.  Re-try each
+            # casualty in a pool of its own so the poisoned cell can only
+            # take itself down.
+            for i, cell in enumerate(batch):
+                outcomes = run_tasks(
+                    worker, [cell.config()], max_workers=self.max_workers,
+                    registry=self.registry,
+                    on_result=lambda _tid, outcome, i=i: record(i, outcome))
+                record(i, outcomes[0])
+                if errors:
+                    break
+        else:
+            outcomes = run_tasks(
+                worker, [c.config() for c in batch],
+                max_workers=self.max_workers, registry=self.registry,
+                on_result=record)
+            # ``run_tasks`` returns without a callback the cells it never
+            # completed ("task never completed").
+            for i, outcome in enumerate(outcomes):
+                record(i, outcome)
+        if errors:
+            raise errors[0]
+        return [batch[i] for i in sorted(retry)], failed, crashed
 
     def _record_done(self, cell: Cell, outcome: Dict[str, Any],
                      attempt: int) -> None:

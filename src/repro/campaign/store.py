@@ -17,9 +17,14 @@ completely or not at all, which is what makes resumption a pure
 their resolved configuration (:class:`~repro.campaign.spec.Cell`), so the
 store never needs to compare configs — identity *is* the address.
 
-The index is a cache: :meth:`CampaignStore.rebuild_index` reconstructs it
-from the cell/quarantine files, and opening a store heals a missing or
-stale index automatically.
+The index is a cache of the record files.  Record writes update it in
+memory only; ``index.json`` is written by :meth:`CampaignStore.create`
+and by :meth:`CampaignStore.write_index`, which the scheduler calls at
+the end of every round.  A campaign killed mid-round therefore leaves an
+index that lags the records by at most that round, and opening or
+refreshing a store heals the lag in memory, reading only the records the
+index lacks — it never writes the file, so a ``status --watch`` reader
+cannot race the writer.
 """
 
 from __future__ import annotations
@@ -111,7 +116,8 @@ class CampaignStore:
         self.root.mkdir(parents=True, exist_ok=True)
         _atomic_write_json(self.snapshot_path, spec.snapshot())
         self._index = {}
-        self.rebuild_index()
+        self._heal_index()
+        self.write_index()
 
     def open(self, spec: Optional[CampaignSpec] = None) -> CampaignSpec:
         """Open an existing store; with *spec*, verify it matches the grid
@@ -131,7 +137,8 @@ class CampaignStore:
 
         Live views (``campaign status --watch``) poll a store that a
         *different* process is writing; rereading the index (with the
-        usual self-heal) picks up cells completed since the last frame.
+        usual in-memory self-heal) picks up cells completed since the
+        last frame, including those of the writer's current round.
         """
         self._load_index()
 
@@ -151,31 +158,36 @@ class CampaignStore:
             with open(self.index_path, encoding="utf-8") as fh:
                 self._index = json.load(fh)
         except (OSError, json.JSONDecodeError):
-            self.rebuild_index()
-            return
-        # Self-heal: an index that disagrees with the files on disk (a
-        # crash between a cell write and the index write) is rebuilt.
-        on_disk = {p.stem for p in self.cells_dir.glob("*.json")}
-        indexed = {cid for cid, e in self._index.items()
-                   if e.get("status") == STATUS_DONE}
-        if on_disk != indexed:
-            self.rebuild_index()
+            self._index = {}
+        self._heal_index()
 
-    def rebuild_index(self) -> Dict[str, Dict[str, Any]]:
-        """Reconstruct index.json from the cell and quarantine files."""
-        index: Dict[str, Dict[str, Any]] = {}
-        for path in sorted(self.quarantine_dir.glob("*.json")):
-            record = self._read_record(path)
-            if record is not None:
-                index[path.stem] = self._summarise(record,
-                                                   STATUS_QUARANTINED)
-        for path in sorted(self.cells_dir.glob("*.json")):
-            record = self._read_record(path)
-            if record is not None:
-                index[path.stem] = self._summarise(record, STATUS_DONE)
+    def _heal_index(self) -> None:
+        """Make the in-memory index agree with the record files.
+
+        The index lags the files after a kill mid-round (records land
+        before the round's index write) and may list files a user
+        deleted.  Only the records the index lacks are read; ids whose
+        file is gone are dropped.  A cell with both a completed and a
+        quarantine record (a kill between the two writes that clear the
+        quarantine) counts as completed.
+        """
+        done = {p.stem for p in self.cells_dir.glob("*.json")}
+        quarantined = {p.stem for p in self.quarantine_dir.glob("*.json")}
+        quarantined -= done
+        on_disk = {STATUS_DONE: done, STATUS_QUARANTINED: quarantined}
+        index = {cid: entry for cid, entry in self._index.items()
+                 if cid in on_disk.get(entry.get("status"), ())}
+        for status, directory in ((STATUS_DONE, self.cells_dir),
+                                  (STATUS_QUARANTINED, self.quarantine_dir)):
+            for cid in sorted(on_disk[status] - index.keys()):
+                record = self._read_record(directory / f"{cid}.json")
+                if record is not None:
+                    index[cid] = self._summarise(record, status)
         self._index = index
-        _atomic_write_json(self.index_path, index)
-        return index
+
+    def write_index(self) -> None:
+        """Persist the in-memory index to ``index.json`` (atomically)."""
+        _atomic_write_json(self.index_path, self._index)
 
     @staticmethod
     def _read_record(path: Path) -> Optional[Dict[str, Any]]:
@@ -254,7 +266,8 @@ class CampaignStore:
                      duration_s: Optional[float] = None,
                      manifest: Optional[Dict[str, Any]] = None,
                      telemetry: Optional[Dict[str, Any]] = None) -> Path:
-        """Record one completed cell (atomically) and update the index.
+        """Record one completed cell (atomically) and update the in-memory
+        index (:meth:`write_index` persists it).
 
         A cell that had been quarantined and now succeeded (e.g. a crash
         that a retry on resume survived) leaves quarantine.
@@ -282,7 +295,6 @@ class CampaignStore:
         except OSError:
             pass
         self._index[cell.cell_id] = self._summarise(record, STATUS_DONE)
-        _atomic_write_json(self.index_path, self._index)
         return path
 
     def write_quarantine(self, cell: Cell, error: str,
@@ -303,7 +315,6 @@ class CampaignStore:
         _atomic_write_json(path, record)
         self._index[cell.cell_id] = self._summarise(record,
                                                     STATUS_QUARANTINED)
-        _atomic_write_json(self.index_path, self._index)
         return path
 
     def write_manifest(self, manifest: Dict[str, Any]) -> str:

@@ -11,8 +11,10 @@ stdout so pipelines can consume it directly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -26,11 +28,25 @@ SCHEMA_VERSION = 1
 
 
 def git_revision(cwd: Optional[str] = None) -> Optional[str]:
-    """Best-effort ``git rev-parse HEAD``; None outside a checkout."""
+    """Best-effort ``git rev-parse HEAD``; None outside a checkout.
+
+    Resolved once per process and directory, so the manifest every
+    campaign cell builds does not fork ``git`` each time; pool workers
+    forked after the driver's first call inherit the answer.
+    """
+    try:
+        directory = os.path.realpath(cwd if cwd is not None else os.getcwd())
+    except OSError:  # the working directory was deleted
+        return None
+    return _git_revision_of(directory)
+
+
+@functools.lru_cache(maxsize=None)
+def _git_revision_of(directory: str) -> Optional[str]:
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=cwd, capture_output=True, text=True, timeout=5,
+            cwd=directory, capture_output=True, text=True, timeout=5,
         )
     except (OSError, subprocess.SubprocessError):
         return None

@@ -13,7 +13,14 @@ The properties that matter, in order of importance:
    directory alone, reproducing the live harness tables verbatim.
 """
 
+import errno
+import functools
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -60,6 +67,61 @@ def scheduler(spec, store, **kw):
     kw.setdefault("retry", RetryPolicy(max_attempts=2, backoff_base_s=0.0))
     kw.setdefault("warm", False)  # tiny traces; generation is cheap
     return CampaignScheduler(spec, store, **kw)
+
+
+#: One predict cell per predictor on a tiny gcc trace.
+PREDICT_GRID = {
+    "campaign": {"name": "predict-grid"},
+    "defaults": {"kind": "predict", "bench": "gcc", "length": 3000},
+    "matrix": {"predictor": ["stride", "last-value", "dfcm", "gdiff"]},
+}
+
+#: The predictor whose cells ``_slow_marked_cell_worker`` stalls.
+SLOW_PREDICTOR = "gdiff"
+
+
+# Fault-injection pool entry points (module level so workers can unpickle
+# them by name).
+def _slow_marked_cell_worker(config, span_ctx=None):  # pragma: no cover - subprocess
+    """Cells of ``SLOW_PREDICTOR`` stall for a minute before running;
+    everything else runs normally."""
+    if config["params"]["predictor"] == SLOW_PREDICTOR:
+        time.sleep(60)
+    return _cell_worker(config, span_ctx)
+
+
+def _counting_cell_worker(log_path, config, span_ctx=None):  # pragma: no cover - subprocess
+    """Run the real cell body, appending one line per execution."""
+    with open(log_path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(config, sort_keys=True) + "\n")
+    return _cell_worker(config, span_ctx)
+
+
+class _FailingStore(CampaignStore):
+    """A store whose disk fills up at the *fail_at*-th completed record."""
+
+    def __init__(self, root, fail_at):
+        super().__init__(root)
+        self.fail_at = fail_at
+        self.writes = 0
+
+    def write_result(self, *args, **kwargs):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write_result(*args, **kwargs)
+
+
+#: Drives a campaign directory with the slow worker; run in its own
+#: process group so the test can SIGKILL the driver and its pool at once.
+_SLOW_DRIVER = """
+import sys
+from repro.campaign import CampaignScheduler, CampaignStore
+from tests.test_campaign import _slow_marked_cell_worker
+store = CampaignStore(sys.argv[1])
+CampaignScheduler(store.open(), store, max_workers=2, warm=False,
+                  cell_worker=_slow_marked_cell_worker).run()
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +306,43 @@ class TestStore:
         healed2.open()
         assert healed2.is_done(cell.cell_id)
 
+    def test_open_heals_missing_quarantine_records(self, tmp_path):
+        spec = mini_spec()
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        cell = spec.cells()[0]
+        store.write_quarantine(cell, "ValueError: boom", "Traceback...",
+                               attempts=2)
+        # The index a kill before the round's index write leaves behind.
+        store.index_path.write_text("{}")
+        reopened = CampaignStore(tmp_path / "c")
+        reopened.open()
+        assert reopened.status(cell.cell_id) == "quarantined"
+        assert reopened.summary(cell.cell_id)["attempts"] == 2
+
+    def test_refresh_heals_in_memory_only(self, tmp_path):
+        """A lagging index is healed by reading only the records it lacks
+        and dropping ids whose files are gone; index.json is left alone
+        (the scheduler owns it)."""
+        spec = mini_spec()
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        gone, late = spec.cells()[:2]
+        store.write_result(gone, {"experiment": {}})
+        store.write_index()
+        store.write_result(late, {"experiment": {}})
+        store.cell_path(gone.cell_id).unlink()
+        before = (store.index_path.read_bytes(),
+                  store.index_path.stat().st_mtime_ns)
+
+        watcher = CampaignStore(tmp_path / "c")
+        watcher.open()
+        watcher.refresh()
+        assert watcher.is_done(late.cell_id)
+        assert watcher.status(gone.cell_id) == "pending"
+        assert (store.index_path.read_bytes(),
+                store.index_path.stat().st_mtime_ns) == before
+
     def test_manifest_dedup(self, tmp_path):
         spec = mini_spec()
         store = CampaignStore(tmp_path / "c")
@@ -320,6 +419,74 @@ class TestScheduler:
         store3 = CampaignStore(tmp_path / "c")
         third = scheduler(store3.open(), store3).run()
         assert third.skipped == 4 and third.completed == 0
+
+    def test_cells_land_while_round_runs_and_survive_sigkill(self, tmp_path):
+        """Records are written as outcomes arrive: while one slow cell
+        still runs, its finished siblings are on disk, and a SIGKILL of
+        the driver loses only the slow cell.  The resume skips exactly the
+        recorded cells and leaves their bytes untouched."""
+        spec = CampaignSpec.from_dict(PREDICT_GRID)
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        fast = {c.cell_id for c in spec.cells()
+                if c.params["predictor"] != SLOW_PREDICTOR}
+        repo = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(repo / "src"), str(repo)]))
+        driver = subprocess.Popen(
+            [sys.executable, "-c", _SLOW_DRIVER, str(store.root)],
+            cwd=repo, env=env, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                landed = {p.stem for p in store.cells_dir.glob("*.json")}
+                if landed >= fast or driver.poll() is not None:
+                    break
+                time.sleep(0.02)
+            assert driver.poll() is None, "driver exited early"
+            assert landed == fast
+        finally:
+            try:
+                os.killpg(driver.pid, signal.SIGKILL)
+            except ProcessLookupError:  # the whole group already exited
+                pass
+            driver.wait(timeout=30)
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                  for p in store.cells_dir.glob("*.json")}
+        assert {Path(name).stem for name in before} == fast
+
+        reg = MetricsRegistry()
+        resumed = CampaignStore(tmp_path / "c")
+        summary = scheduler(resumed.open(), resumed, registry=reg).run()
+        assert summary.skipped == len(fast) and summary.completed == 1
+        assert reg.as_dict()["counters"]["campaign.cells.skipped"] == \
+            len(fast)
+        for name, (payload, mtime) in before.items():
+            path = store.cells_dir / name
+            assert path.read_bytes() == payload
+            assert path.stat().st_mtime_ns == mtime
+
+    def test_store_error_surfaces_after_round_drains(self, tmp_path):
+        """A record write that fails mid-round is raised from run() once
+        the in-flight cells drain; it must not look like a broken pool,
+        whose serial fallback would run every cell body a second time."""
+        spec = CampaignSpec.from_dict(PREDICT_GRID)
+        store = _FailingStore(tmp_path / "c", fail_at=3)
+        store.create(spec)
+        log_path = tmp_path / "executions.log"
+        reg = MetricsRegistry()
+        sched = scheduler(spec, store, registry=reg, cell_worker=(
+            functools.partial(_counting_cell_worker, str(log_path))))
+        with pytest.raises(OSError) as err:
+            sched.run()
+        assert err.value.errno == errno.ENOSPC
+        executions = log_path.read_text().splitlines()
+        assert len(executions) == len(set(executions))
+        assert "parallel.fallback" not in reg.as_dict()["counters"]
+        # The round's index write still ran and lists the two records.
+        recorded = {p.stem for p in store.cells_dir.glob("*.json")}
+        assert len(recorded) == 2
+        assert set(json.loads(store.index_path.read_text())) == recorded
 
     def test_soft_failure_quarantined_not_fatal(self, tmp_path):
         """A cell that raises is retried then quarantined with its

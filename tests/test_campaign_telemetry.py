@@ -71,6 +71,15 @@ class TestStoredTelemetry:
         # Telemetry also lives in the full record (index is only a cache).
         assert reopened.load_cell(cell.cell_id)["telemetry"]["events"] == 3000
 
+    def test_cell_manifest_covers_the_cell(self, tmp_path):
+        spec = predict_spec()
+        store, _summary = run_campaign(tmp_path, spec, max_workers=2)
+        for cell in spec.cells():
+            record = store.load_cell(cell.cell_id)
+            path = store.manifests_dir / f"{record['manifest_run_id']}.json"
+            manifest = json.loads(path.read_text())
+            assert manifest["duration_s"] >= record["duration_s"]
+
     def test_driver_histogram_observes_cell_durations(self, tmp_path):
         registry = MetricsRegistry()
         _store, summary = run_campaign(tmp_path, predict_spec(),

@@ -8,6 +8,8 @@ must change with it.
 import io
 import json
 import logging
+import os
+import subprocess
 
 import pytest
 
@@ -21,8 +23,10 @@ from repro.telemetry import (
     ProgressPrinter,
     RunManifest,
     get_logger,
+    git_revision,
     verbosity_to_level,
 )
+from repro.telemetry import manifest as manifest_module
 from repro.trace import ialu
 from repro.trace.workloads import get as get_workload
 
@@ -250,6 +254,25 @@ class TestRunManifest:
         manifest = RunManifest("trace", {"x": 1})
         doc = json.loads(manifest.to_json())
         assert doc["run_id"] == manifest.run_id
+
+    def test_git_revision_spawns_git_once_per_process(self, monkeypatch):
+        calls = []
+
+        def fake_run(cmd, **kwargs):
+            calls.append(cmd)
+            return subprocess.CompletedProcess(cmd, 0, stdout="abc123\n",
+                                               stderr="")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        manifest_module._git_revision_of.cache_clear()
+        try:
+            assert git_revision() == "abc123"
+            assert git_revision(os.getcwd()) == "abc123"
+            assert RunManifest("trace", {}).git_sha == "abc123"
+            assert RunManifest("predict", {"x": 1}).git_sha == "abc123"
+            assert len(calls) == 1
+        finally:
+            manifest_module._git_revision_of.cache_clear()
 
 
 class TestProgressPrinter:
