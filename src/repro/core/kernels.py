@@ -6,37 +6,47 @@ that is half a dozen Python calls per pair.  The kernels here fuse one
 predictor's whole profile run into a single loop that walks the packed
 ``(pc, value)`` (or ``(pc, addr)``) columns directly, with every piece of
 hot state bound to a local variable — no ``Instruction`` materialisation,
-no method dispatch, no per-pair allocation.
+no method dispatch, and no per-pair allocation outside gDiff's distance
+search (below).
 
 Two structural tricks carry the gDiff kernels:
 
-* **The values-column window.**  In a profile run every value-producing
+* **One window column.**  In a profile run every value-producing
   instruction pushes into the global value queue, so the queue window seen
-  by pair *i* is a slice of the values column itself — ``GVQ[d]`` is
-  ``values[i - delay - d]`` (falling back to the predictor's pre-existing
-  ring contents for the first ``order + delay`` pairs).  The loop performs
-  no ring writes or modulo arithmetic; the ring and validity mask are
-  written back once at the end, so the predictor's externally observable
-  state is *identical* to what the object path leaves behind (and
-  ``warm_then_measure`` can chain kernel runs).  The same argument covers
-  the trace-driven HGVQ: each pair's write-back deposits its real value
-  before any younger pair reads the slot, so the window is again the
-  values column and the filler's *prediction* is dead — only its training
-  matters, which runs as its own fused pass.
+  by pair *i* is a slice of one column: the queue's pre-run ring words
+  (at most ``order + delay`` of them, the furthest any read reaches back)
+  followed by the values column, copied once into a list so that reads
+  and slices share its int objects instead of boxing each word —
+  ``GVQ[d]`` is ``win[i + pre - delay - d]``, with no branch.  The loop
+  performs no ring writes or modulo arithmetic; the ring and validity
+  mask are written back once at the end, so the predictor's externally
+  observable state is *identical* to what the object path leaves behind
+  (and ``warm_then_measure`` can chain kernel runs).  The same argument
+  covers the trace-driven HGVQ: each pair's write-back deposits its real
+  value before any younger pair reads the slot, so the window is again
+  this column and the filler's *prediction* is dead — only its
+  training matters, which runs as its own fused pass.
 
 * **Lazy difference vectors.**  The object path materialises the order-n
   difference vector on every update (to compare against the stored one
   and to store it back).  But a stored vector is fully determined by
   ``(actual, i)`` of the pair that stored it: its difference at distance
   *d* is ``actual - window_i[d]``, and ``window_i`` is just another slice
-  of the values column.  So the kernel stores the two words and compares
-  ``actual_now - window_now[d] == actual_then - window_then[d]`` (as
-  ``actual_now + window_then[d] == actual_then + window_now[d]`` mod
-  2^64) on the fly — per-pair training cost drops from O(order) to
-  O(distances scanned), which the sticky policy usually makes O(1).  The
-  lazily-represented rows are materialised into the flat diff arrays once
-  when the kernel finishes, leaving the table bit-identical to the object
-  path's.
+  of the window column.  So the kernel stores the two words and never
+  builds the vector.  Under the sticky policy the prediction has already
+  compared the locked distance; when it was right, that distance is
+  chosen at no further cost.  Otherwise the update rule's search runs in
+  C builtins: ``xs = list(map(sub, window_then, window_now))`` over two
+  slices of the column, then ``in`` and ``list.index`` for the first
+  distance holding ``actual_then - actual_now`` (mod 2^64, so one of
+  two unreduced values); a row already in the flat arrays is searched as
+  ``map(add, stored, window_now)`` against ``actual`` instead.  A miss
+  still costs O(order) work, but in C builtins rather than a Python loop
+  per distance, and misses are common: in the sweep's gDiff cells 27–34%
+  of the pairs fail the locked-distance check and scan every distance
+  without a match.  The lazily-represented rows are materialised into the
+  flat diff arrays once when the kernel finishes, leaving the table
+  bit-identical to the object path's.
 
 Every kernel reproduces the object path exactly — the same
 :class:`~repro.predictors.base.PredictionStats` counters and the same
@@ -53,6 +63,7 @@ checked on every call so tests can toggle it).
 from __future__ import annotations
 
 import os
+from operator import add, sub
 from typing import Optional
 
 from ..predictors.base import ConstantPredictor, PredictionStats
@@ -169,8 +180,18 @@ def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
     Returns the last selected distance (0 = last update mismatched, None =
     no pairs) for ``last_distance``; the caller syncs queue state.
     """
+    # The window column: the pre-run ring words a read can still reach
+    # (none reaches further back than order + delay words before pair 0),
+    # then the call's values.  GVQ[d] for pair i is win[i + off - d].  A
+    # list, even when the prefix is empty: its reads and slices share the
+    # int objects, where an array's would box every word again.
+    pre = min(count0, order + delay)
+    win = [ring[k % cap] for k in range(count0 - pre, count0)]
+    win += values
+    off = pre - delay
     eff0 = count0 - delay
     mask = WORD_MASK
+    wrap = mask + 1
     n = len(pcs)
 
     unlimited = table.entries is None
@@ -209,6 +230,7 @@ def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
             vc = order
         elif vc < 0:
             vc = 0
+        top = i + off  # win[top - d] is GVQ[d]
         if unlimited:
             row = rows_get(pc, -1)
             idx = 0
@@ -224,22 +246,11 @@ def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
             if d and d <= vc:
                 if lz is None:
                     if d <= valid[row]:
-                        s = i - delay - d
-                        base = values[s] if s >= 0 \
-                            else ring[(count0 + s) % cap]
-                        predicted = (base + diffs[row * order + d - 1]) & mask
-                else:
-                    a0 = lz[0]
-                    i0 = lz[1]
-                    sv = eff0 + i0
-                    if d <= sv:  # d <= order always holds
-                        s = i - delay - d
-                        base = values[s] if s >= 0 \
-                            else ring[(count0 + s) % cap]
-                        s0 = i0 - delay - d
-                        b0 = values[s0] if s0 >= 0 \
-                            else ring[(count0 + s0) % cap]
-                        predicted = (base + a0 - b0) & mask
+                        predicted = (win[top - d]
+                                     + diffs[row * order + d - 1]) & mask
+                elif d <= eff0 + lz[1]:  # d <= order always holds
+                    predicted = (win[top - d] + lz[0]
+                                 - win[lz[1] + off - d]) & mask
         # -- score (and gate)
         if predicted is not None:
             predictions += 1
@@ -291,65 +302,49 @@ def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
             owner[row] = pc
             owner_set[row] = 1
         # -- match & select (paper's update rule), diffs compared lazily
-        if lz is None:
-            sv = valid[row]
-            limit = sv if sv < vc else vc
-            rbase = row * order
-            chosen = 0
-            if sticky:
-                d = dist[row]
-                if 0 < d <= limit:
-                    s = i - delay - d
-                    base = values[s] if s >= 0 else ring[(count0 + s) % cap]
-                    if diffs[rbase + d - 1] == (actual - base) & mask:
-                        chosen = d
-            if not chosen and limit:
-                if farthest:
-                    for d in range(limit, 0, -1):
-                        s = i - delay - d
-                        base = values[s] if s >= 0 \
-                            else ring[(count0 + s) % cap]
-                        if diffs[rbase + d - 1] == (actual - base) & mask:
-                            chosen = d
-                            break
-                else:
-                    for d in range(1, limit + 1):
-                        s = i - delay - d
-                        base = values[s] if s >= 0 \
-                            else ring[(count0 + s) % cap]
-                        if diffs[rbase + d - 1] == (actual - base) & mask:
-                            chosen = d
-                            break
+        chosen = 0
+        if sticky and predicted == actual:
+            # The prediction compared this row's stored and current
+            # differences at the locked distance, within the same bound.
+            chosen = d
         else:
-            a0 = lz[0]
-            i0 = lz[1]
-            sv = eff0 + i0
-            if sv > order:
-                sv = order
+            # Distances the row stores, capped by vc (which is <= order);
+            # a lazy row's count is negative if the delay still hid the
+            # whole queue from the pair that stored it.
+            sv = valid[row] if lz is None else eff0 + lz[1]
             limit = sv if sv < vc else vc
-            chosen = 0
-            if sticky:
-                d = dist[row]
-                if 0 < d <= limit:
-                    s = i - delay - d
-                    base = values[s] if s >= 0 else ring[(count0 + s) % cap]
-                    s0 = i0 - delay - d
-                    b0 = values[s0] if s0 >= 0 else ring[(count0 + s0) % cap]
-                    if (actual + b0) & mask == (a0 + base) & mask:
-                        chosen = d
-            if not chosen and limit:
-                if farthest:
-                    scan = range(limit, 0, -1)
+            if limit > 0:
+                # xs[k] is a sum or difference of distance limit - k's
+                # words that equals t or t2 exactly when it matches.
+                # Invariant: top - limit >= 0 (and top0 - limit >= 0).
+                # top - limit = i + pre - delay - limit, and limit <= vc
+                # <= count0 - delay + i covers pre == count0, limit <=
+                # order covers pre == order + delay (limit <= sv does the
+                # same for top0).  A negative slice start would silently
+                # read from the column's end.
+                if lz is None:
+                    rbase = row * order
+                    # stored + now == actual (mod 2^64), sum < 2^65
+                    xs = list(map(add, reversed(diffs[rbase:rbase + limit]),
+                                  win[top - limit:top]))
+                    t = actual
+                    t2 = actual + wrap
                 else:
-                    scan = range(1, limit + 1)
-                for d in scan:
-                    s = i - delay - d
-                    base = values[s] if s >= 0 else ring[(count0 + s) % cap]
-                    s0 = i0 - delay - d
-                    b0 = values[s0] if s0 >= 0 else ring[(count0 + s0) % cap]
-                    if (actual + b0) & mask == (a0 + base) & mask:
-                        chosen = d
-                        break
+                    top0 = lz[1] + off
+                    # then - now == a_then - actual (mod 2^64), |diff| < 2^64
+                    xs = list(map(sub, win[top0 - limit:top0],
+                                  win[top - limit:top]))
+                    t = (lz[0] - actual) & mask
+                    t2 = t - wrap
+                if not farthest:
+                    xs.reverse()  # now xs[k] is distance k + 1
+                p = xs.index(t) if t in xs else limit
+                if t2 in xs:
+                    k = xs.index(t2)
+                    if k < p:
+                        p = k
+                if p < limit:
+                    chosen = limit - p if farthest else p + 1
         if chosen:
             dist[row] = chosen
             if refresh:
@@ -365,11 +360,12 @@ def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
         sv = eff0 + i0
         if sv > order:
             sv = order
+        elif sv < 0:
+            sv = 0  # stored while the delay still hid the whole queue
         rbase = row * order
+        top0 = i0 + off
         for dd in range(sv):
-            s = i0 - delay - 1 - dd
-            base = values[s] if s >= 0 else ring[(count0 + s) % cap]
-            diffs[rbase + dd] = (a0 - base) & mask
+            diffs[rbase + dd] = (a0 - win[top0 - 1 - dd]) & mask
         valid[row] = sv
 
     table.accesses += n

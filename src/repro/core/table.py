@@ -185,8 +185,10 @@ class GDiffTable:
 class FlatGDiffTable:
     """The gDiff table as parallel preallocated flat arrays.
 
-    Behaviourally identical to :class:`GDiffTable` (asserted by
-    ``tests/test_flat_table.py``) but with none of its per-update
+    Behaviourally identical to :class:`GDiffTable` (asserted against the
+    dict-based table by
+    ``tests/test_kernel_equivalence.py::test_kernel_matches_reference_implementation``)
+    but with none of its per-update
     allocation: rows live in parallel ``array`` columns —
 
     * ``_diffs``  (``'Q'``): ``order`` stored differences per row, machine

@@ -110,6 +110,7 @@ from __future__ import annotations
 
 from heapq import heappop as _heappop, heappush as _heappush
 from itertools import accumulate
+from operator import add, sub
 from typing import Optional
 
 from ..core.gdiff import GDiffPredictor
@@ -683,6 +684,16 @@ def _sgvq_vp(vp):
     and trained rows are kept lazily as ``(actual, window top)``; the
     ring, the flat table rows and all counters are materialised in
     ``finalize``.
+
+    Training checks the locked distance first (sticky policy).  Failing
+    that, it finds the matching distance with C builtins over slices of
+    ``log``, nearest first (``farthest``: from the other end): for a
+    lazily stored row, ``xs = list(map(sub, then, now))`` over the two
+    window slices, searched with ``in``/``list.index`` for
+    ``t = (la - actual) mod 2^64`` or ``t - 2^64``; for a row already in
+    the flat arrays, ``map(add, stored diffs, now)`` searched for
+    ``actual`` or ``actual + 2^64``.  A miss still costs O(order) work,
+    but in C builtins rather than a Python loop per distance.
     """
     gd = vp.gdiff
     if type(gd) is not GDiffPredictor:
@@ -701,6 +712,7 @@ def _sgvq_vp(vp):
     cget = cdata.get
     attempts = predictions = correct = confident_n = confident_correct = 0
     M = WORD_MASK
+    wrap = M + 1
     trows = table._rows
     qbuf = queue._buf
     qcap = queue._capacity
@@ -808,54 +820,46 @@ def _sgvq_vp(vp):
         sv = tvalid[row]
         limit = sv if sv < vc else vc
         chosen = 0
-        lz = lazy_get(row)
-        if lz is None:
-            rbase = row * torder
-            if sticky:
+        if limit:
+            lz = lazy_get(row)
+            # xs[k] belongs to distance limit - k; log[topb - limit] is
+            # never before the log's start (limit <= vc).
+            if lz is None:
+                rbase = row * torder
                 d = tdist[row]
-                if 0 < d <= limit and tdiffs[rbase + d - 1] == \
+                if sticky and 0 < d <= limit and tdiffs[rbase + d - 1] == \
                         (actual - log[topb - d]) & M:
                     chosen = d
-            if not chosen and limit:
-                if farthest:
-                    for d in range(limit, 0, -1):
-                        if tdiffs[rbase + d - 1] == \
-                                (actual - log[topb - d]) & M:
-                            chosen = d
-                            break
                 else:
-                    for d in range(1, limit + 1):
-                        if tdiffs[rbase + d - 1] == \
-                                (actual - log[topb - d]) & M:
-                            chosen = d
-                            break
-        else:
-            # (la - log[lwb-d]) == (actual - log[topb-d])  (mod 2^64)
-            # rearranges to a per-scan constant vs a two-read probe.
-            t = (lz[0] - actual) & M
-            delta = lz[1] - logbase - topb
-            if sticky:
+                    # stored + now == actual (mod 2^64), sum < 2^65
+                    xs = list(map(add, reversed(tdiffs[rbase:rbase + limit]),
+                                  log[topb - limit:topb]))
+                    t = actual
+                    t2 = actual + wrap
+            else:
+                # (la - log[lwb-d]) == (actual - log[topb-d])  (mod 2^64)
+                # rearranges to log[lwb-d] - log[topb-d] == t (mod 2^64),
+                # whose unreduced difference is t or t - 2^64.
+                t = (lz[0] - actual) & M
+                lwb = lz[1] - logbase
                 d = tdist[row]
-                if 0 < d <= limit:
-                    p = topb - d
-                    if (log[p + delta] - log[p]) & M == t:
-                        chosen = d
-            if not chosen and limit:
-                if farthest:
-                    p = topb - limit
-                    while p < topb:
-                        if (log[p + delta] - log[p]) & M == t:
-                            chosen = topb - p
-                            break
-                        p += 1
+                if sticky and 0 < d <= limit and \
+                        (log[lwb - d] - log[topb - d]) & M == t:
+                    chosen = d
                 else:
-                    p = topb - 1
-                    stop = topb - limit
-                    while p >= stop:
-                        if (log[p + delta] - log[p]) & M == t:
-                            chosen = topb - p
-                            break
-                        p -= 1
+                    xs = list(map(sub, log[lwb - limit:lwb],
+                                  log[topb - limit:topb]))
+                    t2 = t - wrap
+            if not chosen:
+                if not farthest:
+                    xs.reverse()  # now xs[k] is distance k + 1
+                p = xs.index(t) if t in xs else limit
+                if t2 in xs:
+                    k = xs.index(t2)
+                    if k < p:
+                        p = k
+                if p < limit:
+                    chosen = limit - p if farthest else p + 1
         if chosen:
             tdist[row] = chosen
             if refresh:

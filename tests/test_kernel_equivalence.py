@@ -90,6 +90,14 @@ PREDICTOR_FACTORIES = {
                                                 refresh_on_match=False),
     "gdiff4-conflicts": lambda: GDiffPredictor(order=4, entries=64,
                                                track_conflicts=True),
+    # The orders the paper's studies and the benchmark sweep run.
+    "gdiff32-unlimited": lambda: GDiffPredictor(order=32, entries=None),
+    "gdiff32-bounded": lambda: GDiffPredictor(order=32, entries=64,
+                                              track_conflicts=True),
+    "gdiff32-farthest": lambda: GDiffPredictor(order=32, entries=None,
+                                               policy="farthest"),
+    "gdiff32-nearest-no-refresh": lambda: GDiffPredictor(
+        order=32, entries=None, policy="nearest", refresh_on_match=False),
     "stride": lambda: StridePredictor(entries=None),
     "stride-bounded": lambda: StridePredictor(entries=64),
     "last-value": lambda: LastValuePredictor(entries=None),
@@ -101,6 +109,7 @@ PREDICTOR_FACTORIES = {
         order=8, entries=None, filler=LastValuePredictor(entries=None)),
     "hgvq-const": lambda: HybridGDiffPredictor(
         order=4, entries=None, filler=ConstantPredictor(0)),
+    "hgvq32": lambda: HybridGDiffPredictor(order=32, entries=None),
 }
 
 
@@ -184,7 +193,8 @@ class _ReferenceGDiff:
     dict(order=8, entries=None),
     dict(order=4, entries=64, delay=2),
     dict(order=4, entries=None, policy="farthest", refresh_on_match=False),
-], ids=["unlimited", "bounded-delay", "farthest-norefresh"])
+    dict(order=32, entries=None),
+], ids=["unlimited", "bounded-delay", "farthest-norefresh", "order32"])
 def test_kernel_matches_reference_implementation(seed, kwargs, monkeypatch):
     """Kernel vs an independent reimplementation, not just vs the flat path."""
     monkeypatch.setenv("REPRO_KERNELS", "1")
@@ -243,6 +253,44 @@ def test_kernel_state_supports_chained_runs(monkeypatch):
         monkeypatch.delenv("REPRO_KERNELS", raising=False)
         results[order] = (stats_tuple(stats["p"]), end_state(predictor))
     assert results["kernel-first"] == results["object-first"]
+
+
+CHAINED_FACTORIES = {
+    "gdiff8-delay3": lambda: GDiffPredictor(order=8, entries=None, delay=3),
+    "gdiff32-delay2": lambda: GDiffPredictor(order=32, entries=64, delay=2,
+                                             track_conflicts=True),
+    "hgvq32": lambda: HybridGDiffPredictor(order=32, entries=None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAINED_FACTORIES))
+@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+def test_kernel_chained_runs_read_the_ring_prefix(name, gated, monkeypatch):
+    """Many chained kernel runs match the same chunks on the object path.
+
+    The chunks are shorter and longer than the queue.  The first is
+    shorter than the delay, so its rows are stored while the delay hides
+    the whole queue (they hold no differences).  Every chunk
+    after the third starts with the queue count past the ring's capacity
+    (the HGVQ's 512 included), so each kernel run reads its window's
+    oldest words from the ring prefix placed ahead of the chunk's values.
+    """
+    chunks = (2, 12, 40, 530, 5, 31, 300, 33)
+    pairs = random_pairs(4, sum(chunks))
+    results = {}
+    for flag in ("0", "1"):
+        monkeypatch.setenv("REPRO_KERNELS", flag)
+        predictor = CHAINED_FACTORIES[name]()
+        per_chunk = []
+        start = 0
+        for size in chunks:
+            trace = packed_from_pairs(pairs[start:start + size])
+            stats = run_value_prediction(trace, {"p": predictor},
+                                         gated=gated)
+            per_chunk.append(stats_tuple(stats["p"]))
+            start += size
+        results[flag] = (per_chunk, end_state(predictor))
+    assert results["0"] == results["1"]
 
 
 def _registry_kwargs(name):

@@ -23,6 +23,7 @@ import os
 
 import pytest
 
+from repro.core import GDiffPredictor
 from repro.harness.experiments import great_latency_config
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.ooo import OutOfOrderCore
@@ -54,6 +55,12 @@ def make_vp(kind):
         return SGVQAdapter(order=16, entries=512)
     if kind == "sgvq_unlim":
         return SGVQAdapter(order=8)
+    if kind == "sgvq32":
+        return SGVQAdapter(order=32, entries=8192)  # fig13's adapter
+    if kind == "sgvq32_farthest":
+        vp = SGVQAdapter(order=32, entries=8192)
+        vp.gdiff = GDiffPredictor(order=32, entries=8192, policy="farthest")
+        return vp
     if kind == "sgvq_thr0":
         return SGVQAdapter(order=16, entries=256,
                            confidence=ConfidenceTable(threshold=0))
@@ -210,6 +217,9 @@ CONFIGS = [
     ("sgvq", True, "great", 99),
     ("sgvq_unlim", False, "great", 11),
     ("sgvq_thr0", True, "great", 11),
+    ("sgvq32", False, "default", 11),
+    ("sgvq32", True, "great", 11),
+    ("sgvq32_farthest", True, "great", 11),
     ("hgvq", False, "default", 11),
     ("hgvq", True, "great", 11),
     ("hgvq", True, "great", 99),
