@@ -44,6 +44,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from ..harness.experiments import EXPERIMENT_INPUTS
 from ..harness.parallel import TASK_OK, default_workers, run_tasks
 from ..telemetry import MetricsRegistry, RunManifest, get_logger
 from ..trace import shm
@@ -53,23 +54,6 @@ from .spec import Cell, CampaignSpec
 from .store import CampaignStore
 
 log = get_logger("repro.campaign.scheduler")
-
-#: Trace usage of each registry experiment, used to warm the cache before
-#: the pool starts: (default length, default code_copies, fixed bench).
-#: ``length`` / ``code_copies`` / ``benchmarks`` params override these.
-_EXPERIMENT_TRACE_HINTS: Dict[str, Tuple[int, int, Optional[str]]] = {
-    "fig8": (100_000, 1, None),
-    "fig9": (100_000, 8, None),
-    "fig10": (100_000, 1, None),
-    "fig12": (50_000, 4, "vortex"),
-    "fig13": (50_000, 4, None),
-    "fig16": (50_000, 4, None),
-    "fig18a": (100_000, 1, None),
-    "fig18b": (100_000, 1, None),
-    "table2": (50_000, 4, None),
-    "fig19": (50_000, 4, None),
-}
-
 
 @dataclass
 class RetryPolicy:
@@ -304,15 +288,13 @@ class CampaignScheduler:
                           params.get("seed"),
                           params.get("code_copies", 1)))
                 continue
-            name = params["experiment"]
-            hint = _EXPERIMENT_TRACE_HINTS.get(name)
-            if hint is None:
+            inputs = EXPERIMENT_INPUTS.get(params["experiment"])
+            if inputs is None:
                 continue
-            default_length, copies, fixed_bench = hint
-            length = params.get("length", default_length)
-            copies = params.get("code_copies", copies)
-            if fixed_bench is not None:
-                benches = [params.get("bench", fixed_bench)]
+            length = params.get("length", inputs.length)
+            copies = params.get("code_copies", inputs.code_copies)
+            if inputs.bench is not None:
+                benches = [params.get("bench", inputs.bench)]
             else:
                 benches = params.get("benchmarks", BENCHMARKS)
             for bench in benches:

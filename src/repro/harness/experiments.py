@@ -23,7 +23,7 @@ fig19      Speedup from value speculation with selective reissue
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from ..analysis.stats import harmonic_mean_speedup, mean
 from ..core.gdiff import GDiffPredictor
@@ -435,6 +435,46 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "fig18b": lambda **kw: fig18(missing_only=True, **kw),
     "table2": table2,
     "fig19": fig19,
+}
+
+
+class ExperimentInputs(NamedTuple):
+    """What one registry experiment reads and simulates by default."""
+
+    #: Trace length; the experiment's ``length`` parameter overrides it.
+    length: int
+    #: Static-code copies per trace (``code_copies`` overrides it).
+    code_copies: int
+    #: The one benchmark read (``bench`` overrides it), or None for the
+    #: suite (``benchmarks`` overrides that).
+    bench: Optional[str]
+    #: The processor configuration simulated, or None for a profile
+    #: experiment.
+    machine: Optional[str]
+
+
+#: The traces and machine of each registry experiment.  The campaign
+#: scheduler warms the trace cache from it.  The parallel runner gives the
+#: experiments of one machine one worker: they simulate it over the same
+#: traces, and the pipeline kernel replays a passive timing only in the
+#: process that solved it.  ``table1`` is ``ProcessorConfig()``;
+#: ``great-latency`` is :func:`great_latency_config`.
+EXPERIMENT_INPUTS: Dict[str, ExperimentInputs] = {
+    "fig8": ExperimentInputs(PROFILE_LENGTH, 1, None, None),
+    "fig9": ExperimentInputs(PROFILE_LENGTH, 8, None, None),
+    "fig10": ExperimentInputs(PROFILE_LENGTH, 1, None, None),
+    "fig12": ExperimentInputs(PIPELINE_LENGTH, PIPELINE_COPIES, "vortex",
+                              "table1"),
+    "fig13": ExperimentInputs(PIPELINE_LENGTH, PIPELINE_COPIES, None,
+                              "table1"),
+    "fig16": ExperimentInputs(PIPELINE_LENGTH, PIPELINE_COPIES, None,
+                              "table1"),
+    "fig18a": ExperimentInputs(PROFILE_LENGTH, 1, None, None),
+    "fig18b": ExperimentInputs(PROFILE_LENGTH, 1, None, None),
+    "table2": ExperimentInputs(PIPELINE_LENGTH, PIPELINE_COPIES, None,
+                               "great-latency"),
+    "fig19": ExperimentInputs(PIPELINE_LENGTH, PIPELINE_COPIES, None,
+                              "great-latency"),
 }
 
 

@@ -24,7 +24,7 @@ Determinism is a hard requirement: a worker computes *exactly* what the
 serial path computes (same experiment function, same arguments, fresh
 predictor state), so parallel runs reproduce the serial tables bit for bit
 (asserted by ``tests/test_parallel.py``).  Degradation is graceful: one
-worker, one experiment, or any pool-level failure (a crashed worker, a
+worker, one task, or any pool-level failure (a crashed worker, a
 sandbox that forbids subprocesses) falls back to in-process serial
 execution with the same results — partial parallel metrics are discarded
 first so nothing is double-counted.
@@ -54,7 +54,7 @@ from typing import (
 
 from ..telemetry import MetricsRegistry, get_logger
 from ..trace import shm
-from .experiments import run_experiment
+from .experiments import EXPERIMENT_INPUTS, EXPERIMENTS, run_experiment
 from .report import ExperimentResult
 
 log = get_logger("repro.harness.parallel")
@@ -148,14 +148,14 @@ def _crashing_worker(name: str, kwargs: Dict,
     os._exit(13)
 
 
-def _apply(task: Tuple[Callable, Tuple]) -> Any:
-    """Pool trampoline: ``(fn, args)`` → ``fn(*args)``.
-
-    Lets :func:`run_experiments` ship multi-argument experiment bodies
-    through the single-argument :meth:`WorkerPool.map_outcomes`.
+def _run_task(task: Tuple[Callable, List[Tuple[str, Dict]], Optional[Dict]]
+              ) -> List[Tuple[ExperimentResult, Dict]]:
+    """Body of one :func:`dispatch_plan` task: ``(worker, [(name, kwargs),
+    ...], span_ctx)``, each member through *worker* in order, in this
+    process, so later members replay what earlier ones left in its memos.
     """
-    fn, args = task
-    return fn(*args)
+    worker, members, span_ctx = task
+    return [worker(name, kwargs, span_ctx) for name, kwargs in members]
 
 
 def span_context(registry: Optional[MetricsRegistry]) -> Optional[Dict]:
@@ -688,6 +688,32 @@ def shutdown_pool() -> None:
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
+def dispatch_plan(names: Sequence[str]) -> List[List[str]]:
+    """The tasks :func:`run_experiments` runs *names* as, in dispatch order.
+
+    Experiments that simulate the same machine
+    (:data:`~repro.harness.experiments.EXPERIMENT_INPUTS`) form one task,
+    members in registry order: the pipeline kernel replays a passive
+    timing solution only in the process that solved it, so one worker
+    per machine solves each timing once, whichever worker is free.
+    Machine tasks come first, because they carry the out-of-order core
+    work and are the longest tasks; every other experiment follows as a
+    task of its own, in registry order.  Each name appears once; a name
+    outside the registry comes last (running it raises ``KeyError``).
+    """
+    rank = {name: i for i, name in enumerate(EXPERIMENTS)}
+    machines: Dict[str, List[str]] = {}
+    others: List[List[str]] = []
+    for name in sorted(dict.fromkeys(names),
+                       key=lambda n: rank.get(n, len(rank))):
+        inputs = EXPERIMENT_INPUTS.get(name)
+        if inputs is None or inputs.machine is None:
+            others.append([name])
+        else:
+            machines.setdefault(inputs.machine, []).append(name)
+    return list(machines.values()) + others
+
+
 def run_experiments(
     names: Sequence[str],
     max_workers: Optional[int] = None,
@@ -700,20 +726,24 @@ def run_experiments(
 ) -> Dict[str, ExperimentResult]:
     """Run experiments from the registry, fanned out across processes.
 
+    The experiments run as the tasks of :func:`dispatch_plan`, in every
+    mode: persistent pool, ``REPRO_POOL=fresh`` executor and serial.
+
     Args:
         names: experiment ids, in the order results should be returned.
         max_workers: pool size; ``None`` uses every available core, ``1``
-            (or a single experiment) runs serially in-process.
+            (or a plan of one task) runs serially in-process.
         kwargs_for: per-experiment keyword overrides ``{name: {...}}``.
         common_kwargs: keywords passed to every experiment (e.g.
             ``{"length": 20000}``).
-        registry: optional driver-side registry; each worker's metrics
-            snapshot is merged into it (only after the whole run commits,
-            so a fallback never double-counts).
-        on_progress: ``(completed, total)`` callback as experiments finish.
-        pool_worker: the function executed in pool workers (overridable
-            for fault-injection tests); the serial path always runs the
-            real experiment body.
+        registry: optional driver-side registry; each experiment's metrics
+            snapshot is merged into it in *names* order (only after the
+            whole run commits, so a fallback never double-counts).
+        on_progress: ``(completed, total)`` callback, advanced by a
+            task's member count as each task finishes.
+        pool_worker: the per-experiment function executed in pool workers
+            (overridable for fault-injection tests); the serial path
+            always runs the real experiment body.
 
     Returns:
         ``{name: ExperimentResult}`` in *names* order.
@@ -721,126 +751,92 @@ def run_experiments(
     names = list(names)
     kwargs_for = kwargs_for or {}
     common = common_kwargs or {}
-
-    def kw(name: str) -> Dict:
-        merged = dict(common)
-        merged.update(kwargs_for.get(name, {}))
-        return merged
-
+    plan = [[(name, {**common, **kwargs_for.get(name, {})}) for name in task]
+            for task in dispatch_plan(names)]
     if max_workers is None:
         max_workers = default_workers()
-    total = len(names)
+    total = sum(map(len, plan))
     span_ctx = span_context(registry)
-
-    if max_workers > 1 and total > 1:
-        fanned = _run_experiments_pooled(
-            names, kw, span_ctx, max_workers, registry=registry,
-            on_progress=on_progress, pool_worker=pool_worker)
-        if fanned is not None:
-            return fanned
-
-    results: Dict[str, ExperimentResult] = {}
-    snapshots: List[Dict] = []
     done = 0
-    for name in names:
-        result, snapshot = _run_one(name, kw(name), span_ctx)
-        results[name] = result
-        snapshots.append(snapshot)
-        done += 1
+
+    def advance(members: int) -> None:
+        nonlocal done
+        done += members
         if on_progress is not None:
             on_progress(done, total)
+
+    outputs = None
+    if max_workers > 1 and len(plan) > 1:
+        outputs = _run_plan_pooled(
+            [(pool_worker, task, span_ctx) for task in plan], max_workers,
+            registry, advance)
+    if outputs is None:
+        done = 0
+        outputs = []
+        for task in plan:
+            outputs.append(_run_task((_run_one, task, span_ctx)))
+            advance(len(task))
+    ran = {name: output for task, task_outputs in zip(plan, outputs)
+           for (name, _kwargs), output in zip(task, task_outputs)}
     if registry is not None:
-        for snapshot in snapshots:
-            registry.merge_dict(snapshot)
-    return results
+        for name in dict.fromkeys(names):
+            registry.merge_dict(ran[name][1])
+    return {name: ran[name][0] for name in names}
 
 
-def _run_experiments_pooled(
-    names: List[str],
-    kw: Callable[[str], Dict],
-    span_ctx: Optional[Dict],
+def _fall_back(registry: Optional[MetricsRegistry],
+               exc: BaseException) -> None:
+    """Log and count a failed experiment pool; the caller runs serially."""
+    log.warning("experiment pool failed (%s: %s); "
+                "falling back to serial execution",
+                type(exc).__name__, exc)
+    _record_fallback(registry, exc)
+
+
+def _run_plan_pooled(
+    tasks: List[Tuple[Callable, List[Tuple[str, Dict]], Optional[Dict]]],
     max_workers: int,
     registry: Optional[MetricsRegistry],
-    on_progress: Optional[Callable[[int, Optional[int]], None]],
-    pool_worker: Callable[..., Tuple[ExperimentResult, Dict]],
-) -> Optional[Dict[str, ExperimentResult]]:
-    """The fan-out half of :func:`run_experiments`.
-
-    Returns the committed results, or ``None`` when the pool failed and
-    the caller should run the serial fallback (already counted).
+    advance: Callable[[int], None],
+) -> Optional[List[List[Tuple[ExperimentResult, Dict]]]]:
+    """The fan-out half of :func:`run_experiments`: each task's
+    ``[(result, snapshot), ...]``, aligned with *tasks*, or ``None`` when
+    the pool failed and the caller should run the serial fallback
+    (already counted).  One casualty discards the whole parallel attempt:
+    the fallback recomputes everything, so committing any partial
+    snapshot would double-count its metrics.
     """
-    total = len(names)
+    workers = min(max_workers, len(tasks))
     if pool_mode() == "persistent":
-        tasks = [(pool_worker, (name, kw(name), span_ctx)) for name in names]
-        done = 0
-
         def on_outcome(tid: int, outcome: Tuple[str, Any]) -> None:
-            nonlocal done
-            if outcome[0] == "ok" and on_progress is not None:
-                done += 1
-                on_progress(done, total)
+            if outcome[0] == "ok":
+                advance(len(tasks[tid][1]))
 
         try:
             raw = get_pool(registry).map_outcomes(
-                _apply, tasks, workers=min(max_workers, total),
-                registry=registry, on_outcome=on_outcome)
+                _run_task, tasks, workers=workers, registry=registry,
+                on_outcome=on_outcome)
         except POOL_FAILURES as exc:
-            log.warning("experiment pool failed (%s: %s); "
-                        "falling back to serial execution",
-                        type(exc).__name__, exc)
-            _record_fallback(registry, exc)
-            return None
-        failure: Optional[BaseException] = None
+            return _fall_back(registry, exc)
         for status, value in raw:
             if status == "crash":
-                failure = BrokenProcessPool(value)
-                break
+                return _fall_back(registry, BrokenProcessPool(value))
             if status == "raise":
                 if isinstance(value, POOL_FAILURES):
-                    failure = value
-                    break
+                    return _fall_back(registry, value)
                 raise value
-        if failure is not None:
-            # One casualty discards the whole parallel attempt: the
-            # serial fallback recomputes everything, so committing any
-            # partial snapshot would double-count its metrics.
-            log.warning("experiment pool failed (%s: %s); "
-                        "falling back to serial execution",
-                        type(failure).__name__, failure)
-            _record_fallback(registry, failure)
-            return None
-        results = {name: raw[i][1][0] for i, name in enumerate(names)}
-        if registry is not None:
-            for _status, (_result, snapshot) in raw:
-                registry.merge_dict(snapshot)
-        return results
+        return [value for _status, value in raw]
 
-    results = {}
-    snapshots: List[Dict] = []
     try:
-        with ProcessPoolExecutor(
-                max_workers=min(max_workers, total)) as pool:
-            futures = {name: pool.submit(pool_worker, name, kw(name),
-                                         span_ctx)
-                       for name in names}
-            done = 0
-            for name in names:
-                result, snapshot = futures[name].result()
-                results[name] = result
-                snapshots.append(snapshot)
-                done += 1
-                if on_progress is not None:
-                    on_progress(done, total)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_run_task, task) for task in tasks]
+            outputs = []
+            for task, future in zip(tasks, futures):
+                outputs.append(future.result())
+                advance(len(task[1]))
     except POOL_FAILURES as exc:
-        log.warning("experiment pool failed (%s: %s); "
-                    "falling back to serial execution",
-                    type(exc).__name__, exc)
-        _record_fallback(registry, exc)
-        return None
-    if registry is not None:
-        for snapshot in snapshots:
-            registry.merge_dict(snapshot)
-    return {name: results[name] for name in names}
+        return _fall_back(registry, exc)
+    return outputs
 
 
 def parallel_map(

@@ -271,8 +271,12 @@ def run_address_prediction(
             a D-cache model to evaluate *missing* loads only — the
             predictors then see, learn from, and are scored on exactly the
             miss-address stream, the stream a prefetcher would act on).
-            A miss filter forces the generic instruction-object loop (the
-            filter inspects instructions and is usually stateful).
+            It is called once per load, in trace order, on that load's
+            :class:`Instruction`, whatever the trace type; the filter is
+            usually stateful.  On a packed trace only the load positions
+            are built as instructions, and the ``(pc, addr)`` pairs the
+            filter keeps run through the same column loops as an
+            unfiltered run.
 
     Returns:
         {predictor name: PredictionStats}.
@@ -282,8 +286,15 @@ def run_address_prediction(
         name: None if isinstance(p, MarkovPredictor) else ConfidenceTable()
         for name, p in predictors.items()
     }
-    if miss_filter is None and hasattr(trace, "load_pairs"):
-        pcs, addrs = trace.load_pairs()
+    if hasattr(trace, "load_pairs"):
+        if miss_filter is None:
+            pcs, addrs = trace.load_pairs()
+        else:
+            pcs, addrs = [], []
+            for insn in trace.loads():
+                if miss_filter(insn):
+                    pcs.append(insn.pc)
+                    addrs.append(insn.addr)
         for name, predictor in predictors.items():
             conf = confidence[name]
             if conf is None or not _kernel_pairs(predictor, pcs, addrs,

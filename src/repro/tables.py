@@ -124,6 +124,11 @@ class SetAssociativeTable:
     Used by the first-order Markov address predictor (Section 6), where the
     paper notes that "confidence gating is achieved with tag matching": a
     lookup only returns a payload when the stored tag matches the key.
+
+    A set is created by the first insert that maps to it; a lookup in a
+    set never inserted into is a miss.  The paper's 256K-entry, 4-way
+    table has 65,536 sets, and a Section 6 run inserts at most one key per
+    load, so at the harness's trace lengths most sets are never built.
     """
 
     def __init__(self, entries: int, ways: int):
@@ -134,8 +139,8 @@ class SetAssociativeTable:
         self.entries = entries
         self.ways = ways
         self.sets = entries // ways
-        # Each set is an ordered list of (tag, payload); index 0 is MRU.
-        self._sets: List[List[Tuple[int, Any]]] = [[] for _ in range(self.sets)]
+        # Set index -> ordered list of (tag, payload); index 0 is MRU.
+        self._sets: Dict[int, List[Tuple[int, Any]]] = {}
         self.accesses = 0
         self.hits = 0
 
@@ -145,7 +150,7 @@ class SetAssociativeTable:
     def lookup(self, key: int) -> Optional[Any]:
         """Return the payload stored under *key*, or ``None`` on tag miss."""
         self.accesses += 1
-        bucket = self._sets[self._set_index(key)]
+        bucket = self._sets.get(self._set_index(key), ())
         for pos, (tag, payload) in enumerate(bucket):
             if tag == key:
                 self.hits += 1
@@ -156,7 +161,7 @@ class SetAssociativeTable:
 
     def insert(self, key: int, payload: Any) -> None:
         """Insert or update *key* -> *payload*, evicting LRU on overflow."""
-        bucket = self._sets[self._set_index(key)]
+        bucket = self._sets.setdefault(self._set_index(key), [])
         for pos, (tag, _) in enumerate(bucket):
             if tag == key:
                 bucket.pop(pos)
@@ -172,7 +177,6 @@ class SetAssociativeTable:
         return self.hits / self.accesses
 
     def clear(self) -> None:
-        for bucket in self._sets:
-            bucket.clear()
+        self._sets.clear()
         self.accesses = 0
         self.hits = 0

@@ -42,7 +42,7 @@ from repro.campaign.scheduler import (
     _crashing_cell_worker,
 )
 from repro.campaign.spec import Cell
-from repro.harness.experiments import run_experiment
+from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.runner import run_value_prediction
 from repro.telemetry import MetricsRegistry
 from repro.core.gdiff import GDiffPredictor
@@ -68,6 +68,25 @@ def scheduler(spec, store, **kw):
     kw.setdefault("warm", False)  # tiny traces; generation is cheap
     return CampaignScheduler(spec, store, **kw)
 
+
+#: The benchmark suite, spelled out so a warm-plan change shows here.
+SUITE = ("bzip2", "gap", "gcc", "gzip", "mcf", "parser", "perl", "twolf",
+         "vortex", "vpr")
+
+#: The traces ``campaign run`` warms for one cell of each registry
+#: experiment at length 5000: ``(bench, length, seed, code_copies)``.
+WARM_AT_5000 = {
+    "fig8": {(bench, 5000, None, 1) for bench in SUITE},
+    "fig9": {(bench, 5000, None, 8) for bench in SUITE},
+    "fig10": {(bench, 5000, None, 1) for bench in SUITE},
+    "fig12": {("vortex", 5000, None, 4)},
+    "fig13": {(bench, 5000, None, 4) for bench in SUITE},
+    "fig16": {(bench, 5000, None, 4) for bench in SUITE},
+    "fig18a": {(bench, 5000, None, 1) for bench in SUITE},
+    "fig18b": {(bench, 5000, None, 1) for bench in SUITE},
+    "table2": {(bench, 5000, None, 4) for bench in SUITE},
+    "fig19": {(bench, 5000, None, 4) for bench in SUITE},
+}
 
 #: One predict cell per predictor on a tiny gcc trace.
 PREDICT_GRID = {
@@ -541,6 +560,19 @@ class TestScheduler:
         plan = sched.warm_plan(spec.cells())
         assert plan == {("gcc", 4000, None, 1), ("gcc", 6000, None, 1),
                         ("mcf", 4000, None, 1), ("mcf", 6000, None, 1)}
+
+    def test_warm_plan_cases_cover_registry(self):
+        assert set(WARM_AT_5000) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment", sorted(WARM_AT_5000))
+    def test_warm_plan_per_experiment(self, experiment):
+        spec = CampaignSpec.from_dict({
+            "campaign": {"name": "warm"},
+            "defaults": {"kind": "experiment", "length": 5000},
+            "matrix": {"experiment": [experiment]},
+        })
+        sched = scheduler(spec, CampaignStore("/nonexistent"))
+        assert sched.warm_plan(spec.cells()) == WARM_AT_5000[experiment]
 
     def test_progress_counts_every_cell_once(self, tmp_path):
         spec = mini_spec()

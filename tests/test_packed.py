@@ -9,7 +9,7 @@ it was packed from.
 import pytest
 
 from repro.core import GDiffPredictor
-from repro.pipeline import OutOfOrderCore
+from repro.pipeline import Cache, OutOfOrderCore, ProcessorConfig
 from repro.predictors import DFCMPredictor, MarkovPredictor, StridePredictor
 from repro.harness.runner import run_address_prediction, run_value_prediction
 from repro.trace import Instruction, OpClass, PackedTrace, branch, ialu, load, store
@@ -121,6 +121,35 @@ class TestRunnerEquivalence:
         }
         slow = run_address_prediction(trace, predictors())
         fast = run_address_prediction(packed, predictors())
+        for name in slow:
+            assert slow[name].as_dict() == fast[name].as_dict(), name
+
+    def test_filtered_address_prediction_stats_identical(self):
+        """A miss filter sees the same loads in the same order on both
+        trace types, and the loads it keeps score identically."""
+        trace = get("vortex").trace(6000)
+        packed = PackedTrace.from_instructions(trace, name="vortex")
+        predictors = lambda: {
+            "ls": StridePredictor(entries=4096),
+            "gs": GDiffPredictor(order=32, entries=4096),
+            "markov": MarkovPredictor(entries=65536, ways=4),
+        }
+
+        def miss_filter(seen):
+            dcache = Cache(ProcessorConfig().dcache)
+
+            def keep(insn):
+                seen.append(insn.addr)
+                return not dcache.access(insn.addr)
+            return keep
+
+        slow_seen, fast_seen = [], []
+        slow = run_address_prediction(trace, predictors(),
+                                      miss_filter=miss_filter(slow_seen))
+        fast = run_address_prediction(packed, predictors(),
+                                      miss_filter=miss_filter(fast_seen))
+        assert fast_seen == slow_seen == list(packed.load_pairs()[1])
+        assert 0 < slow["ls"].attempts < len(slow_seen)
         for name in slow:
             assert slow[name].as_dict() == fast[name].as_dict(), name
 

@@ -11,11 +11,13 @@ import time
 
 import pytest
 
+from repro.harness.experiments import EXPERIMENTS
 from repro.harness.parallel import (
     TASK_CRASH,
     TASK_OK,
     _crashing_worker,
     default_workers,
+    dispatch_plan,
     get_pool,
     parallel_map,
     pool_mode,
@@ -29,6 +31,14 @@ from repro.telemetry import MetricsRegistry
 #: and one sweep, two benchmarks, short traces.
 NAMES = ["fig8", "fig10"]
 COMMON = {"length": 6000, "benchmarks": ["gcc", "mcf"]}
+
+
+#: Experiments of both machines, two of each; fig12 reads its own
+#: ``bench``, so the benchmarks go through ``kwargs_for`` as in run-all.
+MACHINE_NAMES = ["fig12", "fig13", "table2", "fig19"]
+MACHINE_COMMON = {"length": 2000}
+MACHINE_KWARGS = {name: {"benchmarks": ["gcc", "mcf"]}
+                  for name in MACHINE_NAMES if name != "fig12"}
 
 
 def _square(x):
@@ -131,6 +141,45 @@ class TestDegradation:
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
+
+
+class TestDispatchPlan:
+    def test_machine_tasks_first_then_registry_order(self):
+        plan = dispatch_plan(list(EXPERIMENTS))
+        assert plan == [["fig12", "fig13", "fig16"], ["table2", "fig19"],
+                        ["fig8"], ["fig9"], ["fig10"], ["fig18a"],
+                        ["fig18b"]]
+        names = [name for task in plan for name in task]
+        assert sorted(names) == sorted(EXPERIMENTS)
+        assert dispatch_plan(list(reversed(EXPERIMENTS))) == plan
+
+    def test_grouped_tasks_match_serial(self):
+        seen = []
+        pooled = run_experiments(MACHINE_NAMES, max_workers=2,
+                                 common_kwargs=MACHINE_COMMON,
+                                 kwargs_for=MACHINE_KWARGS,
+                                 on_progress=lambda done, total: seen.append(
+                                     (done, total)))
+        serial = run_experiments(MACHINE_NAMES, max_workers=1,
+                                 common_kwargs=MACHINE_COMMON,
+                                 kwargs_for=MACHINE_KWARGS)
+        assert list(pooled) == list(serial) == MACHINE_NAMES
+        for name in MACHINE_NAMES:
+            # repr: fig19's H_mean row holds a NaN, which never equals itself.
+            assert (repr(pooled[name].as_dict())
+                    == repr(serial[name].as_dict())), name
+        assert seen == [(2, 4), (4, 4)]
+
+    def test_grouped_crash_falls_back_once(self):
+        reg = MetricsRegistry()
+        run_experiments(MACHINE_NAMES, max_workers=2,
+                        common_kwargs=MACHINE_COMMON,
+                        kwargs_for=MACHINE_KWARGS, registry=reg,
+                        pool_worker=_crashing_worker)
+        snap = reg.as_dict()
+        assert snap["counters"]["parallel.fallback"] == 1
+        for name in MACHINE_NAMES:
+            assert snap["phases"][f"experiment.{name}"]["calls"] == 1
 
 
 class TestParallelMap:
