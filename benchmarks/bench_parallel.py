@@ -1,9 +1,9 @@
 """Shared-memory trace plane + persistent worker pool — campaign-scale
 orchestration overhead.
 
-PR 7 made the kernel fast; at sweep scale the harness itself is now the
-bottleneck: per-round pool spawns and per-worker disk loads are paid for
-the *same* packed trace over and over.  Two floors:
+At sweep scale the harness itself can be the bottleneck: a pool started
+per round and a disk load per worker pay for the *same* packed trace
+over and over.  Two floors:
 
 * **Per-cell trace acquisition ≥ 10x vs the warm disk load.**  A worker
   acquires its trace through :func:`repro.trace.shm.shm_trace`: the first
@@ -13,12 +13,13 @@ the *same* packed trace over and over.  Two floors:
   well over an order of magnitude.  (The *cold* attach alone is
   checksum-bound — reported as ``shm_attach_cold_ms`` for the record,
   it is roughly the CRC scan of the columns.)
-* **4-worker campaign round ≥ 1.5x vs the per-round-pool baseline.**
+* **4-worker campaign round ≥ 1.5x vs a new pool per round.**
   The same cell batch dispatched through the persistent pool (workers
-  reused, traces attached once) against the legacy configuration
-  (``REPRO_POOL=fresh`` + ``REPRO_SHM=0``: a fresh executor per round,
-  a disk load per worker per round).  Both planes must produce identical
-  results before speed counts.
+  reused, traces attached once) against a baseline that starts a new
+  :class:`~repro.harness.parallel.WorkerPool` for every round and shuts
+  it down at the end of the round, both inside the timed round, with
+  ``REPRO_SHM=0`` (a disk load per worker per round).  Both sides must
+  produce identical results before speed counts.
 
 Measured values land in ``BENCH_metrics.json`` under
 ``metrics.parallel`` with ``_x`` keys, so ``repro bench check`` gates
@@ -127,17 +128,25 @@ def _cell(args):
     return (len(trace), sum(pcs[0:len(pcs):step]) & 0xFFFFFFFF)
 
 
-def _run_rounds(registry):
+def _run_rounds(registry, new_pool_per_round=False):
     """R scheduler-style rounds of the same cell batch, timed per round
-    (warm-up round excluded so steady state is what's measured)."""
+    (warm-up round excluded so steady state is what's measured).  With
+    *new_pool_per_round*, every round starts from no pool and a cold
+    driver memo, and its time includes starting and shutting down the
+    pool it used."""
     items = [(BENCH, LENGTH)] * CELLS_PER_ROUND
     outcomes = run_tasks(_cell, items, max_workers=WORKERS,
                          registry=registry)
     per_round = []
     for _ in range(ROUNDS):
+        if new_pool_per_round:
+            shutdown_pool()
+            memo_clear()  # forked workers must not inherit a warm memo
         start = time.perf_counter()
         round_outcomes = run_tasks(_cell, items, max_workers=WORKERS,
                                    registry=registry)
+        if new_pool_per_round:
+            shutdown_pool()
         per_round.append(time.perf_counter() - start)
         assert round_outcomes == outcomes
     return outcomes, min(per_round)
@@ -148,19 +157,18 @@ def bench_warm_pool_campaign_round(benchmark, record_metrics):
     spec = get(BENCH)
     trace = default_cache().load_or_generate(spec, LENGTH)
 
-    baseline_env = {"REPRO_POOL": "fresh", "REPRO_SHM": "0"}
-    saved = {k: os.environ.get(k) for k in baseline_env}
+    saved = os.environ.get("REPRO_SHM")
     try:
-        os.environ.update(baseline_env)
+        os.environ["REPRO_SHM"] = "0"
         shutdown_pool()
         memo_clear()  # forked workers must not inherit a warm driver memo
-        fresh_outcomes, fresh_s = _run_rounds(MetricsRegistry())
+        fresh_outcomes, fresh_s = _run_rounds(MetricsRegistry(),
+                                              new_pool_per_round=True)
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_SHM", None)
+        else:
+            os.environ["REPRO_SHM"] = saved
 
     shutdown_pool()
     memo_clear()
@@ -178,7 +186,7 @@ def bench_warm_pool_campaign_round(benchmark, record_metrics):
     ratio = fresh_s / warm_s
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print(f"\ncampaign round ({WORKERS} workers, {CELLS_PER_ROUND} "
-          f"cells): per-round pool {fresh_s * 1000:.0f} ms, warm pool "
+          f"cells): new pool per round {fresh_s * 1000:.0f} ms, warm pool "
           f"{warm_s * 1000:.0f} ms — {ratio:.2f}x")
     record_metrics("parallel",
                    fresh_round_ms=fresh_s * 1000,

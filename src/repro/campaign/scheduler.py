@@ -19,9 +19,6 @@ quarantined (a record with the traceback) — while guaranteeing:
   only itself down: the persistent pool replaces the dead worker in
   place and the scheduler re-tries only the casualties, so a poisoned
   cell eventually lands in quarantine while its siblings complete.
-  (Under the legacy ``REPRO_POOL=fresh`` executor the whole pool breaks
-  and is recreated on the next round — same store outcomes, more
-  collateral retries.)
 * **Determinism**: a worker computes exactly what a direct
   :func:`~repro.harness.experiments.run_experiment` /
   :func:`~repro.harness.runner.run_value_prediction` call computes — same
@@ -38,7 +35,6 @@ machine, ever.
 from __future__ import annotations
 
 import functools
-import os
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -211,19 +207,6 @@ def _cell_worker(config: Dict[str, Any],
                 traceback.format_exc())
 
 
-def _crashing_cell_worker(config, span_ctx=None):  # pragma: no cover - subprocess
-    """Fault injection: every cell hard-kills its worker (and pool)."""
-    os._exit(13)
-
-
-def _crash_marked_cell_worker(config, span_ctx=None):  # pragma: no cover - subprocess
-    """Fault injection: cells with ``length == 4242`` die hard;
-    everything else runs normally."""
-    if config["params"].get("length") == 4242:
-        os._exit(13)
-    return _cell_worker(config, span_ctx)
-
-
 # ---------------------------------------------------------------------------
 # Driver side
 # ---------------------------------------------------------------------------
@@ -379,7 +362,6 @@ class CampaignScheduler:
 
         attempts: Dict[str, int] = {}
         round_no = 0
-        isolate = False
         while pending:
             budget = len(pending)
             if self.stop_after is not None:
@@ -394,32 +376,33 @@ class CampaignScheduler:
                          "cell(s)", round_no, delay, len(batch))
                 time.sleep(delay)
             try:
-                requeue, any_failures, isolate = self._run_round(
-                    worker, batch, isolate, attempts, summary)
+                requeue, any_failures = self._run_round(
+                    worker, batch, attempts, summary)
             finally:
                 self.store.write_index()
             pending = requeue + rest
             round_no = round_no + 1 if any_failures else round_no
         return summary
 
-    def _run_round(self, worker: Callable, batch: List[Cell], isolate: bool,
+    def _run_round(self, worker: Callable, batch: List[Cell],
                    attempts: Dict[str, int], summary: CampaignRunSummary
-                   ) -> Tuple[List[Cell], bool, bool]:
-        """Run one round, recording each cell as its outcome arrives.
+                   ) -> Tuple[List[Cell], bool]:
+        """Run one round — one ``run_tasks`` call — recording each cell
+        as its outcome arrives.
 
         Returns the cells to retry, in batch order, and whether any cell
-        failed and whether any crashed its worker.  A record that cannot
-        be written (e.g. a full disk) is raised once the round's
-        in-flight cells have drained: raising inside ``run_tasks``'
-        callback would look like a broken pool and re-run the round.
+        failed.  A record that cannot be written (e.g. a full disk) is
+        raised once the round's in-flight cells have drained: raising
+        inside ``run_tasks``' callback would look like a broken pool and
+        re-run the round.
         """
         retry: List[int] = []
-        crashed = failed = False
+        failed = False
         handled: Set[int] = set()
         errors: List[Exception] = []
 
         def record(i: int, outcome: Tuple[str, Any]) -> None:
-            nonlocal crashed, failed
+            nonlocal failed
             # A pool that fails mid-round makes ``run_tasks`` re-run the
             # whole round in-process; the first outcome of a cell wins.
             if i in handled or errors:
@@ -447,7 +430,7 @@ class CampaignScheduler:
                                     self.retry.max_attempts)
                         retry.append(i)
                 else:  # the worker (or its pool) crashed
-                    failed = crashed = True
+                    failed = True
                     summary.crashes += 1
                     self._count("pool.crash")
                     if attempt >= self.retry.max_attempts:
@@ -467,31 +450,17 @@ class CampaignScheduler:
             except Exception as exc:
                 errors.append(exc)
 
-        if isolate and self.max_workers > 1:
-            # The previous round lost its pool to a crashing worker,
-            # which also breaks innocent siblings' futures.  Re-try each
-            # casualty in a pool of its own so the poisoned cell can only
-            # take itself down.
-            for i, cell in enumerate(batch):
-                outcomes = run_tasks(
-                    worker, [cell.config()], max_workers=self.max_workers,
-                    registry=self.registry,
-                    on_result=lambda _tid, outcome, i=i: record(i, outcome))
-                record(i, outcomes[0])
-                if errors:
-                    break
-        else:
-            outcomes = run_tasks(
-                worker, [c.config() for c in batch],
-                max_workers=self.max_workers, registry=self.registry,
-                on_result=record)
-            # ``run_tasks`` returns without a callback the cells it never
-            # completed ("task never completed").
-            for i, outcome in enumerate(outcomes):
-                record(i, outcome)
+        outcomes = run_tasks(
+            worker, [c.config() for c in batch],
+            max_workers=self.max_workers, registry=self.registry,
+            on_result=record)
+        # ``run_tasks`` returns without a callback the cells it never
+        # completed ("task never completed").
+        for i, outcome in enumerate(outcomes):
+            record(i, outcome)
         if errors:
             raise errors[0]
-        return [batch[i] for i in sorted(retry)], failed, crashed
+        return [batch[i] for i in sorted(retry)], failed
 
     def _record_done(self, cell: Cell, outcome: Dict[str, Any],
                      attempt: int) -> None:

@@ -3,7 +3,7 @@ ASCII reporting that prints the same rows/series the paper's tables and
 figures report."""
 
 from .experiments import EXPERIMENTS, run_experiment
-from .parallel import default_workers, parallel_map, run_experiments
+from .parallel import default_workers, run_experiments
 from .report import ExperimentResult
 from .runner import (
     run_address_prediction,
@@ -28,7 +28,6 @@ __all__ = [
     "EXPERIMENTS",
     "run_experiment",
     "run_experiments",
-    "parallel_map",
     "default_workers",
     "ExperimentResult",
 ]

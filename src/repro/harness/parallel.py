@@ -7,27 +7,24 @@ worker's :class:`~repro.telemetry.MetricsRegistry` snapshot back as a
 plain dict, and merges the snapshots into the caller's registry for one
 consolidated manifest.
 
-Two worker planes exist, selected by ``REPRO_POOL``:
-
-* ``persistent`` (the default): a module-singleton :class:`WorkerPool` of
-  long-lived forked workers, reused across ``run_tasks``/``parallel_map``
-  calls and across scheduler rounds.  Warm per-worker state — the
-  in-process :class:`PackedTrace` memo, the pipeline timing memos, the
-  validated shared-memory attachments — survives between calls, so a
-  campaign pays interpreter spawn and trace materialisation once per
-  worker, not once per round.  A dead worker is replaced without
-  restarting the pool.
-* ``fresh``: the legacy one-:class:`ProcessPoolExecutor`-per-call path,
-  kept as the benchmark baseline and as a safety valve.
+There is one worker plane: a module-singleton :class:`WorkerPool` of
+long-lived forked workers, and one way onto it, :func:`run_tasks`
+(:func:`run_experiments` is a thin adapter over it; the serve plane pins
+shard workers of the same pool).  Warm per-worker state — the in-process
+:class:`PackedTrace` memo, the pipeline timing memos, the validated
+shared-memory attachments — survives between calls, so a campaign pays
+interpreter spawn and trace materialisation once per worker, not once per
+round.  A worker holds one task at a time, so a worker that dies takes
+only its own task down and is replaced without restarting the pool.
 
 Determinism is a hard requirement: a worker computes *exactly* what the
 serial path computes (same experiment function, same arguments, fresh
 predictor state), so parallel runs reproduce the serial tables bit for bit
 (asserted by ``tests/test_parallel.py``).  Degradation is graceful: one
-worker, one task, or any pool-level failure (a crashed worker, a
-sandbox that forbids subprocesses) falls back to in-process serial
-execution with the same results — partial parallel metrics are discarded
-first so nothing is double-counted.
+worker or one experiment task runs in-process, a task whose worker
+crashed re-runs in-process, and a pool that cannot run at all (a sandbox
+that forbids subprocesses, an unpicklable callable) runs everything
+in-process, with the same results.
 """
 
 from __future__ import annotations
@@ -37,15 +34,12 @@ import multiprocessing
 import os
 import pickle
 import threading
-import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait as _connection_wait
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -74,29 +68,6 @@ POOL_FAILURES = (BrokenProcessPool, OSError, PermissionError,
 _ENV_PREFIX = "REPRO_"
 
 
-def pool_mode() -> str:
-    """``persistent`` (default) or ``fresh`` (legacy pool-per-call)."""
-    mode = os.environ.get("REPRO_POOL", "persistent").strip().lower()
-    return mode if mode in ("persistent", "fresh") else "persistent"
-
-
-def pool_idle_timeout() -> Optional[float]:
-    """Idle-worker reap threshold in seconds (``REPRO_POOL_IDLE_S``).
-
-    ``None`` (unset, unparsable, or non-positive) disables reaping — the
-    historical behaviour, where a pool that served a burst pins its
-    workers until process exit.
-    """
-    raw = os.environ.get("REPRO_POOL_IDLE_S", "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
 def _count(registry: Optional[MetricsRegistry], name: str,
            amount: int = 1) -> None:
     if registry is not None and amount:
@@ -107,10 +78,10 @@ def _record_fallback(registry: Optional[MetricsRegistry],
                      exc: BaseException) -> None:
     """Count a pool failure so degraded runs are visible in manifests.
 
-    ``parallel.fallback`` totals every silent serial degradation;
-    ``parallel.fallback.<ExceptionType>`` records why, so a campaign
-    manifest can distinguish a sandbox that forbids subprocesses from a
-    worker that segfaulted.
+    ``parallel.fallback`` counts dispatch calls that ran some or all of
+    their work in-process; ``parallel.fallback.<ExceptionType>`` records
+    why, so a campaign manifest can distinguish a sandbox that forbids
+    subprocesses from a worker that segfaulted.
     """
     if registry is not None:
         registry.counter("parallel.fallback").inc()
@@ -139,13 +110,6 @@ def _run_one(name: str, kwargs: Dict,
         registry.enable_spans(context=span_ctx)
     result = run_experiment(name, registry=registry, **kwargs)
     return result, registry.as_dict()
-
-
-def _crashing_worker(name: str, kwargs: Dict,
-                     span_ctx=None):  # pragma: no cover - subprocess
-    """Fault-injection worker for the crash-fallback tests: dies hard,
-    taking its pool with it (the serial fallback never runs it)."""
-    os._exit(13)
 
 
 def _run_task(task: Tuple[Callable, List[Tuple[str, Dict]], Optional[Dict]]
@@ -223,8 +187,8 @@ def _pool_worker_main(conn) -> None:  # pragma: no cover - subprocess body
 class _Worker:
     """One persistent worker process plus its driver-side pipe end."""
 
-    __slots__ = ("proc", "conn", "inflight", "shm_version", "last_used",
-                 "pinned", "setup_sig")
+    __slots__ = ("proc", "conn", "inflight", "shm_version", "pinned",
+                 "setup_sig")
 
     def __init__(self, ctx) -> None:
         driver_end, worker_end = ctx.Pipe(duplex=True)
@@ -235,10 +199,8 @@ class _Worker:
         self.conn = driver_end
         self.inflight: List[int] = []
         self.shm_version = -1
-        self.last_used = time.monotonic()
-        #: Pinned workers host shard-affine state (the serve plane) and
-        #: are exempt from idle reaping — their residency is bounded by
-        #: the shard's own LRU stream manager, not by pool pressure.
+        #: Pinned workers host shard-affine state (the serve plane):
+        #: shard *i* always dispatches to worker *i*.
         self.pinned = False
         #: Signature of the last ("setup", ...) envelope shipped, so the
         #: sharded dispatch path can skip redundant env re-syncs.
@@ -248,11 +210,10 @@ class _Worker:
 class WorkerPool:
     """Long-lived worker processes reused across dispatch calls.
 
-    Crash semantics: a worker dying mid-batch resolves only *its* in-flight
-    tasks as crashes — siblings keep running, queued tasks still dispatch,
-    and the dead worker is replaced (while work remains) without
-    restarting the pool.  Compare the legacy per-call executor, where one
-    hard-exiting task breaks every sibling future in the round.
+    Crash semantics: a worker holds one task at a time, so a worker dying
+    mid-task resolves only *that* task as a crash — siblings keep running,
+    queued tasks still dispatch, and the dead worker is replaced (while
+    work remains) without restarting the pool.
     """
 
     def __init__(self, size: Optional[int] = None) -> None:
@@ -260,10 +221,9 @@ class WorkerPool:
         self._ctx = multiprocessing.get_context()
         self._workers: List[_Worker] = []
         self._closed = False
-        # Guards worker-list mutation against the reap timer and against
-        # concurrent shutdown_pool callers (atexit + signal handler).
+        # Guards worker-list mutation against concurrent shutdown_pool
+        # callers (atexit + signal handler).
         self._lock = threading.RLock()
-        self._reap_timer: Optional[threading.Timer] = None
 
     # -- lifecycle --------------------------------------------------------
     @property
@@ -309,9 +269,6 @@ class WorkerPool:
             if self._closed and not self._workers:
                 return
             self._closed = True
-            if self._reap_timer is not None:
-                self._reap_timer.cancel()
-                self._reap_timer = None
             workers, self._workers = list(self._workers), []
         for worker in workers:
             try:
@@ -328,59 +285,6 @@ class WorkerPool:
             except Exception:
                 pass
 
-    # -- idle reaping -----------------------------------------------------
-    def reap_idle(self, registry: Optional[MetricsRegistry] = None,
-                  timeout: Optional[float] = None) -> int:
-        """Stop workers idle past the ``REPRO_POOL_IDLE_S`` threshold.
-
-        Workers with in-flight tasks and pinned (shard-hosting) workers
-        are never reaped.  Returns the number of workers stopped
-        (``pool.reaped`` on *registry*).
-        """
-        if timeout is None:
-            timeout = pool_idle_timeout()
-        if timeout is None:
-            return 0
-        now = time.monotonic()
-        victims: List[_Worker] = []
-        with self._lock:
-            if self._closed:
-                return 0
-            for worker in list(self._workers):
-                if worker.inflight or worker.pinned:
-                    continue
-                if now - worker.last_used < timeout:
-                    continue
-                self._workers.remove(worker)
-                victims.append(worker)
-        for worker in victims:
-            self._stop_worker(worker)
-        _count(registry, "pool.reaped", len(victims))
-        return len(victims)
-
-    def _schedule_reap(self) -> None:
-        """Arm a daemonic timer to shrink the pool after the idle window
-        (no-op when reaping is disabled or a timer is already armed)."""
-        timeout = pool_idle_timeout()
-        if timeout is None:
-            return
-        with self._lock:
-            if self._closed or self._reap_timer is not None:
-                return
-            timer = threading.Timer(timeout + 0.05, self._reap_tick)
-            timer.daemon = True
-            self._reap_timer = timer
-            timer.start()
-
-    def _reap_tick(self) -> None:
-        with self._lock:
-            self._reap_timer = None
-        self.reap_idle()
-        with self._lock:
-            rearm = bool(self._workers) and not self._closed
-        if rearm:
-            self._schedule_reap()
-
     # -- dispatch ---------------------------------------------------------
     def map_outcomes(
         self,
@@ -388,17 +292,20 @@ class WorkerPool:
         items: Sequence,
         workers: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        batch: int = 1,
         on_outcome: Optional[Callable[[int, Tuple[str, Any]], None]] = None,
     ) -> List[Tuple[str, Any]]:
-        """Run ``fn`` over *items* on persistent workers.
+        """Run ``fn`` over *items* on persistent workers, one task per
+        worker at a time.
 
         Returns ``[(status, value)]`` aligned with *items*: ``("ok",
         result)``, ``("raise", exception)`` for an exception *fn* raised in
         a worker, or ``("crash", reason)`` for a worker that died before
-        replying.  A driver-side dispatch failure (unpicklable *fn* or
-        item) raises — after every in-flight task has drained, so a retry
-        or fallback never races stale replies.
+        replying.  *on_outcome(index, outcome)* runs as each outcome
+        arrives.  A driver-side dispatch failure (unpicklable *fn* or
+        item) raises after every in-flight task has drained, so a retry
+        or fallback never races stale replies.  Any other exception (one
+        *on_outcome* raises, an interrupt) first stops the workers still
+        running a task of this call, so no later call reads their replies.
         """
         if self._closed:
             raise BrokenProcessPool("worker pool is shut down")
@@ -406,12 +313,10 @@ class WorkerPool:
         if not items:
             return []
         outcomes: List[Optional[Tuple[str, Any]]] = [None] * len(items)
-        # An explicit worker request wins over the core-count default —
-        # exactly like an explicit ``max_workers`` on the legacy executor.
+        # An explicit worker request wins over the core-count default.
         want = max(1, min(len(items), workers if workers else self.size))
         pending: List[int] = list(range(len(items) - 1, -1, -1))
         send_error: Optional[BaseException] = None
-        batch = max(1, batch)
 
         _count(registry, "pool.reuse", min(len(self._workers), want))
         while len(self._workers) < want:
@@ -429,7 +334,6 @@ class WorkerPool:
         def handle(worker: _Worker, msg: Tuple) -> None:
             kind, tid, payload = msg
             worker.inflight.remove(tid)
-            worker.last_used = time.monotonic()
             resolve(tid, ("ok" if kind == "ok" else "raise", payload))
 
         def reap(worker: _Worker) -> None:
@@ -470,24 +374,22 @@ class WorkerPool:
                     _count(registry, "pool.replace")
 
         def give(worker: _Worker) -> None:
-            """Hand the next batch of pending tasks to an idle worker."""
+            """Hand the next pending task to an idle worker."""
             nonlocal send_error
-            take = [pending.pop() for _ in range(min(batch, len(pending)))]
-            tagged = [(tid, items[tid]) for tid in take]
+            tid = pending.pop()
             try:
-                worker.conn.send(("batch", fn, tagged))
+                worker.conn.send(("batch", fn, [(tid, items[tid])]))
             except (pickle.PicklingError, AttributeError,
                     TypeError) as exc:
-                pending.extend(reversed(take))
+                pending.append(tid)
                 send_error = exc
             except OSError:
-                pending.extend(reversed(take))
+                pending.append(tid)
                 reap(worker)
             else:
-                worker.inflight.extend(take)
-                worker.last_used = time.monotonic()
+                worker.inflight.append(tid)
                 _count(registry, "pool.batches")
-                _count(registry, "pool.tasks", len(take))
+                _count(registry, "pool.tasks")
 
         try:
             for worker in active:
@@ -499,42 +401,52 @@ class WorkerPool:
             raise BrokenProcessPool(
                 f"worker setup failed: {exc}") from exc
 
-        while True:
-            if send_error is None and pending:
-                for worker in list(active):
-                    if not pending:
-                        break
-                    if not worker.inflight:
-                        give(worker)
-            busy = [w for w in active if w.inflight]
-            if not busy:
-                break
-            conn_of = {w.conn: w for w in busy}
-            sentinel_of = {w.proc.sentinel: w for w in busy}
-            ready = _connection_wait(list(conn_of) + list(sentinel_of))
-            reaped: set = set()
-            for obj in ready:
-                worker = conn_of.get(obj)
-                if worker is not None:
-                    if id(worker) in reaped:
+        try:
+            while True:
+                if send_error is None and pending:
+                    for worker in list(active):
+                        if not pending:
+                            break
+                        if not worker.inflight:
+                            give(worker)
+                busy = [w for w in active if w.inflight]
+                if not busy:
+                    break
+                conn_of = {w.conn: w for w in busy}
+                sentinel_of = {w.proc.sentinel: w for w in busy}
+                ready = _connection_wait(list(conn_of) + list(sentinel_of))
+                reaped: set = set()
+                for obj in ready:
+                    worker = conn_of.get(obj)
+                    if worker is not None:
+                        if id(worker) in reaped:
+                            continue
+                        try:
+                            msg = worker.conn.recv()
+                        except (EOFError, OSError):
+                            reaped.add(id(worker))
+                            reap(worker)
+                        else:
+                            handle(worker, msg)
                         continue
-                    try:
-                        msg = worker.conn.recv()
-                    except (EOFError, OSError):
-                        reaped.add(id(worker))
-                        reap(worker)
-                    else:
-                        handle(worker, msg)
-                    continue
-                worker = sentinel_of[obj]
-                if id(worker) in reaped or not worker.inflight:
-                    continue
-                reaped.add(id(worker))
-                reap(worker)
+                    worker = sentinel_of[obj]
+                    if id(worker) in reaped or not worker.inflight:
+                        continue
+                    reaped.add(id(worker))
+                    reap(worker)
+        except BaseException:
+            # Drop every worker still running a task of this call: its
+            # reply must not reach the next call.
+            for worker in [w for w in active if w.inflight]:
+                worker.inflight.clear()
+                if worker in self._workers:
+                    self._workers.remove(worker)
+                worker.proc.terminate()
+                self._stop_worker(worker)
+            raise
 
         if registry is not None:
             registry.gauge("pool.workers").set(len(self._workers))
-        self._schedule_reap()
         if send_error is not None:
             raise send_error
         return [outcome or ("crash", "task never completed")
@@ -547,8 +459,8 @@ class WorkerPool:
 
         Pinned workers host shard-affine stream state for
         :mod:`repro.serve`: shard *i* always dispatches to worker *i*, so
-        those workers must neither be idle-reaped nor have their list
-        positions shift underneath the shard map.  Returns *count*.
+        their list positions must not shift underneath the shard map.
+        Returns *count*.
         """
         with self._lock:
             if self._closed:
@@ -564,7 +476,6 @@ class WorkerPool:
         with self._lock:
             for worker in self._workers:
                 worker.pinned = False
-        self._schedule_reap()
 
     def _shard_worker(self, index: int) -> _Worker:
         worker = self._workers[index]
@@ -593,7 +504,6 @@ class WorkerPool:
             self._setup(worker, version, handles, env)
         worker.conn.send(("batch", fn, [(tag, item)]))
         worker.inflight.append(tag)
-        worker.last_used = time.monotonic()
         _count(registry, "pool.batches")
 
     def shard_recv(self, index: int) -> Tuple[str, int, Any]:
@@ -607,7 +517,6 @@ class WorkerPool:
         kind, tag, payload = worker.conn.recv()
         if tag in worker.inflight:
             worker.inflight.remove(tag)
-        worker.last_used = time.monotonic()
         return kind, tag, payload
 
     def shard_conn(self, index: int):
@@ -688,6 +597,83 @@ def shutdown_pool() -> None:
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
+#: Outcome statuses yielded by :func:`run_tasks`.
+TASK_OK = "ok"
+TASK_CRASH = "crash"
+
+
+def run_tasks(
+    fn: Callable[[Any], Any],
+    items: Sequence,
+    max_workers: Optional[int] = None,
+    registry: Optional[MetricsRegistry] = None,
+    on_result: Optional[Callable[[int, Tuple[str, Any]], None]] = None,
+) -> List[Tuple[str, Any]]:
+    """Run *fn* over *items* on the worker pool, reporting per-item
+    outcomes instead of failing the whole batch.
+
+    Returns ``[(status, value)]`` aligned with *items*, where status is
+    :data:`TASK_OK` (value = ``fn(item)``) or :data:`TASK_CRASH` (value =
+    a short reason string: the worker died before replying, *fn* raised
+    one of :data:`POOL_FAILURES` there, or the item never ran).  One
+    poisoned task does not discard its siblings' completed work, which is
+    what a resumable scheduler needs.  *on_result(index, outcome)* runs
+    as each outcome arrives.
+
+    *fn* is expected to catch its own application-level exceptions and
+    encode them in its return value; any other exception escaping *fn*
+    in a worker is re-raised here once every in-flight task has drained.
+    Even a single item goes through the pool: a retried task that kills
+    its worker must not take the driver down with it.  Only
+    ``max_workers=1`` — or a pool that cannot run at all (counted via
+    ``parallel.fallback``) — runs items in-process, where an escaping
+    exception propagates at once.
+    """
+    items = list(items)
+    if max_workers is None:
+        max_workers = default_workers()
+    if max_workers > 1 and items:
+        outcomes: List[Optional[Tuple[str, Any]]] = [None] * len(items)
+        raised: List[BaseException] = []
+
+        def on_outcome(tid: int, outcome: Tuple[str, Any]) -> None:
+            status, value = outcome
+            if status == "ok":
+                mapped = (TASK_OK, value)
+            elif status == "crash":
+                mapped = (TASK_CRASH, value)
+            elif isinstance(value, POOL_FAILURES):
+                mapped = (TASK_CRASH, f"{type(value).__name__}: {value}")
+                log.warning("task %d crashed its worker (%s)", tid, mapped[1])
+            else:
+                raised.append(value)
+                return
+            outcomes[tid] = mapped
+            if on_result is not None:
+                on_result(tid, mapped)
+
+        try:
+            get_pool(registry).map_outcomes(
+                fn, items, workers=min(max_workers, len(items)),
+                registry=registry, on_outcome=on_outcome)
+        except POOL_FAILURES as exc:
+            log.warning("task pool could not run (%s: %s); "
+                        "running tasks in-process",
+                        type(exc).__name__, exc)
+            _record_fallback(registry, exc)
+        else:
+            if raised:
+                raise raised[0]
+            return [outcome or (TASK_CRASH, "task never completed")
+                    for outcome in outcomes]
+    results = []
+    for i, item in enumerate(items):
+        results.append((TASK_OK, fn(item)))
+        if on_result is not None:
+            on_result(i, results[i])
+    return results
+
+
 def dispatch_plan(names: Sequence[str]) -> List[List[str]]:
     """The tasks :func:`run_experiments` runs *names* as, in dispatch order.
 
@@ -726,8 +712,10 @@ def run_experiments(
 ) -> Dict[str, ExperimentResult]:
     """Run experiments from the registry, fanned out across processes.
 
-    The experiments run as the tasks of :func:`dispatch_plan`, in every
-    mode: persistent pool, ``REPRO_POOL=fresh`` executor and serial.
+    The experiments run as the tasks of :func:`dispatch_plan`, through
+    :func:`run_tasks`.  Every task that finished in a worker is kept; a
+    task whose worker crashed re-runs in-process, and a call that re-ran
+    any counts one ``parallel.fallback``.
 
     Args:
         names: experiment ids, in the order results should be returned.
@@ -738,12 +726,12 @@ def run_experiments(
             ``{"length": 20000}``).
         registry: optional driver-side registry; each experiment's metrics
             snapshot is merged into it in *names* order (only after the
-            whole run commits, so a fallback never double-counts).
+            whole run commits, so a re-run never double-counts).
         on_progress: ``(completed, total)`` callback, advanced by a
             task's member count as each task finishes.
-        pool_worker: the per-experiment function executed in pool workers
-            (overridable for fault-injection tests); the serial path
-            always runs the real experiment body.
+        pool_worker: the per-experiment function ``run_tasks`` executes
+            (overridable for fault-injection tests); a task re-run after
+            a crash always runs the real experiment body.
 
     Returns:
         ``{name: ExperimentResult}`` in *names* order.
@@ -757,312 +745,38 @@ def run_experiments(
         max_workers = default_workers()
     total = sum(map(len, plan))
     span_ctx = span_context(registry)
+    outputs: List[Optional[List]] = [None] * len(plan)
     done = 0
 
-    def advance(members: int) -> None:
+    def keep(i: int, output: List[Tuple[ExperimentResult, Dict]]) -> None:
         nonlocal done
-        done += members
+        outputs[i] = output
+        done += len(plan[i])
         if on_progress is not None:
             on_progress(done, total)
 
-    outputs = None
     if max_workers > 1 and len(plan) > 1:
-        outputs = _run_plan_pooled(
-            [(pool_worker, task, span_ctx) for task in plan], max_workers,
-            registry, advance)
-    if outputs is None:
-        done = 0
-        outputs = []
-        for task in plan:
-            outputs.append(_run_task((_run_one, task, span_ctx)))
-            advance(len(task))
+        def on_result(i: int, outcome: Tuple[str, Any]) -> None:
+            # A pool that fails mid-call makes ``run_tasks`` re-run the
+            # whole call in-process; the first output of a task wins.
+            if outcome[0] == TASK_OK and outputs[i] is None:
+                keep(i, outcome[1])
+
+        outcomes = run_tasks(
+            _run_task, [(pool_worker, task, span_ctx) for task in plan],
+            max_workers=max_workers, registry=registry, on_result=on_result)
+        lost = [value for status, value in outcomes if status == TASK_CRASH]
+        if lost:
+            log.warning("%d of %d experiment task(s) lost their worker "
+                        "(%s); re-running them in-process",
+                        len(lost), len(plan), lost[0])
+            _record_fallback(registry, BrokenProcessPool(lost[0]))
+    for i, task in enumerate(plan):
+        if outputs[i] is None:
+            keep(i, _run_task((_run_one, task, span_ctx)))
     ran = {name: output for task, task_outputs in zip(plan, outputs)
            for (name, _kwargs), output in zip(task, task_outputs)}
     if registry is not None:
         for name in dict.fromkeys(names):
             registry.merge_dict(ran[name][1])
     return {name: ran[name][0] for name in names}
-
-
-def _fall_back(registry: Optional[MetricsRegistry],
-               exc: BaseException) -> None:
-    """Log and count a failed experiment pool; the caller runs serially."""
-    log.warning("experiment pool failed (%s: %s); "
-                "falling back to serial execution",
-                type(exc).__name__, exc)
-    _record_fallback(registry, exc)
-
-
-def _run_plan_pooled(
-    tasks: List[Tuple[Callable, List[Tuple[str, Dict]], Optional[Dict]]],
-    max_workers: int,
-    registry: Optional[MetricsRegistry],
-    advance: Callable[[int], None],
-) -> Optional[List[List[Tuple[ExperimentResult, Dict]]]]:
-    """The fan-out half of :func:`run_experiments`: each task's
-    ``[(result, snapshot), ...]``, aligned with *tasks*, or ``None`` when
-    the pool failed and the caller should run the serial fallback
-    (already counted).  One casualty discards the whole parallel attempt:
-    the fallback recomputes everything, so committing any partial
-    snapshot would double-count its metrics.
-    """
-    workers = min(max_workers, len(tasks))
-    if pool_mode() == "persistent":
-        def on_outcome(tid: int, outcome: Tuple[str, Any]) -> None:
-            if outcome[0] == "ok":
-                advance(len(tasks[tid][1]))
-
-        try:
-            raw = get_pool(registry).map_outcomes(
-                _run_task, tasks, workers=workers, registry=registry,
-                on_outcome=on_outcome)
-        except POOL_FAILURES as exc:
-            return _fall_back(registry, exc)
-        for status, value in raw:
-            if status == "crash":
-                return _fall_back(registry, BrokenProcessPool(value))
-            if status == "raise":
-                if isinstance(value, POOL_FAILURES):
-                    return _fall_back(registry, value)
-                raise value
-        return [value for _status, value in raw]
-
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_task, task) for task in tasks]
-            outputs = []
-            for task, future in zip(tasks, futures):
-                outputs.append(future.result())
-                advance(len(task[1]))
-    except POOL_FAILURES as exc:
-        return _fall_back(registry, exc)
-    return outputs
-
-
-def parallel_map(
-    fn: Callable,
-    items: Iterable,
-    max_workers: Optional[int] = None,
-    on_progress: Optional[Callable[[int, Optional[int]], None]] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> List:
-    """``[fn(item) for item in items]`` across processes, order preserved.
-
-    The workhorse for fanning per-workload benchmark bodies out: *fn* must
-    be a picklable module-level callable.  Falls back to an in-process
-    loop on one worker, one item, or any pool failure (counted as
-    ``parallel.fallback`` on *registry*) — and a mid-batch failure keeps
-    every already-finished result, re-running only the casualties
-    (``parallel.salvaged`` counts the reused results).
-    """
-    items = list(items)
-    if max_workers is None:
-        max_workers = default_workers()
-    total = len(items)
-    if max_workers > 1 and total > 1:
-        if pool_mode() == "persistent":
-            done = 0
-
-            def on_outcome(tid: int, outcome: Tuple[str, Any]) -> None:
-                nonlocal done
-                if outcome[0] == "ok" and on_progress is not None:
-                    done += 1
-                    on_progress(done, total)
-
-            try:
-                raw = get_pool(registry).map_outcomes(
-                    fn, items, workers=min(max_workers, total),
-                    registry=registry, batch=_auto_batch(total, max_workers),
-                    on_outcome=on_outcome)
-            except POOL_FAILURES as exc:
-                log.warning("parallel_map pool failed (%s: %s); "
-                            "falling back to serial execution",
-                            type(exc).__name__, exc)
-                _record_fallback(registry, exc)
-            else:
-                results: List = [None] * total
-                failed: List[int] = []
-                failure: Optional[BaseException] = None
-                for i, (status, value) in enumerate(raw):
-                    if status == "ok":
-                        results[i] = value
-                    elif (status == "raise"
-                          and not isinstance(value, POOL_FAILURES)):
-                        raise value
-                    else:
-                        failed.append(i)
-                        if failure is None:
-                            failure = (value if isinstance(value,
-                                                           BaseException)
-                                       else BrokenProcessPool(value))
-                if failed:
-                    log.warning(
-                        "parallel_map lost %d/%d item(s) (%s); re-running "
-                        "them serially, keeping the rest",
-                        len(failed), total, failure)
-                    _record_fallback(registry, failure)
-                    _count(registry, "parallel.salvaged",
-                           total - len(failed))
-                    for i in failed:
-                        results[i] = fn(items[i])
-                        if on_progress is not None:
-                            done += 1
-                            on_progress(done, total)
-                return results
-        else:
-            futures: List = []
-            try:
-                with ProcessPoolExecutor(
-                        max_workers=min(max_workers, total)) as pool:
-                    futures = [pool.submit(fn, item) for item in items]
-                    results = []
-                    for i, future in enumerate(futures):
-                        results.append(future.result())
-                        if on_progress is not None:
-                            on_progress(i + 1, total)
-                    return results
-            except POOL_FAILURES as exc:
-                log.warning("parallel_map pool failed (%s: %s); "
-                            "falling back to serial execution",
-                            type(exc).__name__, exc)
-                _record_fallback(registry, exc)
-                salvaged: Dict[int, Any] = {}
-                for i, future in enumerate(futures):
-                    if (future.done() and not future.cancelled()
-                            and future.exception() is None):
-                        salvaged[i] = future.result()
-                if salvaged:
-                    _count(registry, "parallel.salvaged", len(salvaged))
-                    results = []
-                    for i, item in enumerate(items):
-                        results.append(salvaged[i] if i in salvaged
-                                       else fn(item))
-                        if on_progress is not None:
-                            on_progress(i + 1, total)
-                    return results
-    results = []
-    for i, item in enumerate(items):
-        results.append(fn(item))
-        if on_progress is not None:
-            on_progress(i + 1, total)
-    return results
-
-
-def _auto_batch(total: int, workers: int) -> int:
-    """Batch size amortising IPC for many-small-item maps: aim for ~4
-    dispatches per worker so load stays balanced while framing shrinks."""
-    return max(1, total // (workers * 4))
-
-
-#: Outcome statuses yielded by :func:`run_tasks`.
-TASK_OK = "ok"
-TASK_CRASH = "crash"
-
-
-def run_tasks(
-    fn: Callable[[Any], Any],
-    items: Sequence,
-    max_workers: Optional[int] = None,
-    registry: Optional[MetricsRegistry] = None,
-    on_result: Optional[Callable[[int, Tuple[str, Any]], None]] = None,
-) -> List[Tuple[str, Any]]:
-    """Run *fn* over *items*, reporting per-item outcomes instead of
-    failing the whole batch.
-
-    Unlike :func:`parallel_map` — which re-runs the casualties serially
-    when the pool dies — this keeps whatever finished and marks only the
-    casualties, which is what a resumable scheduler needs: one poisoned
-    task must not discard its siblings' completed work.
-
-    Returns ``[(status, value)]`` aligned with *items*, where status is
-    :data:`TASK_OK` (value = ``fn(item)``) or :data:`TASK_CRASH` (value =
-    a short reason string; the worker died or the pool broke before the
-    item ran).  *fn* is expected to catch its own application-level
-    exceptions and encode them in its return value; an exception escaping
-    *fn* in a worker is indistinguishable from a crash and reported as
-    one.  Even a single item goes through the pool (unlike
-    :func:`parallel_map`): a retried task that kills its worker must not
-    take the driver down with it.  Only ``max_workers=1`` — or a pool
-    that cannot be created at all (counted via ``parallel.fallback``) —
-    runs items in-process, where an escaping exception propagates to the
-    caller.
-
-    Under the persistent pool a crash is contained to the worker that ran
-    the item: siblings finish normally and the dead worker is replaced
-    in-place, so a crash round no longer breaks innocent futures.
-    """
-    items = list(items)
-    outcomes: List[Optional[Tuple[str, Any]]] = [None] * len(items)
-    if max_workers is None:
-        max_workers = default_workers()
-    if max_workers > 1 and items:
-        if pool_mode() == "persistent":
-            raised: List[BaseException] = []
-
-            def on_outcome(tid: int, outcome: Tuple[str, Any]) -> None:
-                status, value = outcome
-                if status == "ok":
-                    mapped = (TASK_OK, value)
-                elif status == "crash":
-                    mapped = (TASK_CRASH, value)
-                elif isinstance(value, POOL_FAILURES):
-                    mapped = (TASK_CRASH,
-                              f"{type(value).__name__}: {value}")
-                    log.warning("task %d crashed its worker (%s)",
-                                tid, mapped[1])
-                else:
-                    raised.append(value)
-                    return
-                outcomes[tid] = mapped
-                if on_result is not None:
-                    on_result(tid, mapped)
-
-            try:
-                get_pool(registry).map_outcomes(
-                    fn, items, workers=min(max_workers, len(items)),
-                    registry=registry, on_outcome=on_outcome)
-            except POOL_FAILURES as exc:
-                log.warning("task pool could not run (%s: %s); "
-                            "running tasks in-process",
-                            type(exc).__name__, exc)
-                _record_fallback(registry, exc)
-            else:
-                if raised:
-                    raise raised[0]
-                return [outcome or (TASK_CRASH, "task never completed")
-                        for outcome in outcomes]
-        else:
-            try:
-                pool = ProcessPoolExecutor(max_workers=min(max_workers,
-                                                           len(items)))
-            except POOL_FAILURES as exc:
-                log.warning("task pool could not start (%s: %s); "
-                            "running tasks in-process",
-                            type(exc).__name__, exc)
-                _record_fallback(registry, exc)
-            else:
-                with pool:
-                    futures = {pool.submit(fn, item): i
-                               for i, item in enumerate(items)}
-                    for future in as_completed(futures):
-                        i = futures[future]
-                        try:
-                            outcomes[i] = (TASK_OK, future.result())
-                        except POOL_FAILURES as exc:
-                            outcomes[i] = (
-                                TASK_CRASH, f"{type(exc).__name__}: {exc}")
-                            log.warning("task %d crashed its worker (%s)",
-                                        i, outcomes[i][1])
-                        if on_result is not None:
-                            on_result(i, outcomes[i])
-                # Every future resolves through as_completed (a broken pool
-                # resolves the stragglers exceptionally), so no slot is
-                # None.
-                return [outcome or (TASK_CRASH, "task never completed")
-                        for outcome in outcomes]
-    for i, item in enumerate(items):
-        outcomes[i] = (TASK_OK, fn(item))
-        if on_result is not None:
-            on_result(i, outcomes[i])
-    return [outcome or (TASK_CRASH, "task never completed")
-            for outcome in outcomes]

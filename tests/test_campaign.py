@@ -36,11 +36,7 @@ from repro.campaign import (
     render_report,
     report_tables,
 )
-from repro.campaign.scheduler import (
-    _cell_worker,
-    _crash_marked_cell_worker,
-    _crashing_cell_worker,
-)
+from repro.campaign.scheduler import _cell_worker
 from repro.campaign.spec import Cell
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.runner import run_value_prediction
@@ -101,6 +97,19 @@ SLOW_PREDICTOR = "gdiff"
 
 # Fault-injection pool entry points (module level so workers can unpickle
 # them by name).
+def _crashing_cell_worker(config, span_ctx=None):  # pragma: no cover - subprocess
+    """Every cell hard-kills its worker."""
+    os._exit(13)
+
+
+def _crash_marked_cell_worker(config, span_ctx=None):  # pragma: no cover - subprocess
+    """Cells with ``length == 4242`` die hard; everything else runs
+    normally."""
+    if config["params"].get("length") == 4242:
+        os._exit(13)
+    return _cell_worker(config, span_ctx)
+
+
 def _slow_marked_cell_worker(config, span_ctx=None):  # pragma: no cover - subprocess
     """Cells of ``SLOW_PREDICTOR`` stall for a minute before running;
     everything else runs normally."""

@@ -15,12 +15,10 @@ from repro.harness.experiments import EXPERIMENTS
 from repro.harness.parallel import (
     TASK_CRASH,
     TASK_OK,
-    _crashing_worker,
+    _run_one,
     default_workers,
     dispatch_plan,
     get_pool,
-    parallel_map,
-    pool_mode,
     run_experiments,
     run_tasks,
     shutdown_pool,
@@ -41,8 +39,16 @@ MACHINE_KWARGS = {name: {"benchmarks": ["gcc", "mcf"]}
                   for name in MACHINE_NAMES if name != "fig12"}
 
 
-def _square(x):
-    return x * x
+def _crashing_worker(name, kwargs, span_ctx=None):  # pragma: no cover - subprocess
+    """Fault-injection pool worker: every experiment dies hard."""
+    os._exit(13)
+
+
+def _crash_on_fig10(name, kwargs, span_ctx=None):  # pragma: no cover - subprocess
+    """Fault-injection pool worker: fig10 dies hard, the rest run."""
+    if name == "fig10":
+        os._exit(13)
+    return _run_one(name, kwargs, span_ctx)
 
 
 class TestDeterminism:
@@ -116,11 +122,29 @@ class TestDegradation:
         assert counters["parallel.fallback"] == 1
         assert counters["parallel.fallback.BrokenProcessPool"] == 1
 
-    def test_parallel_map_fallback_counted(self):
+    def test_only_the_crashed_task_reruns(self):
+        """A crash re-runs only its own task, in the driver; the task that
+        finished in a worker is kept, not recomputed."""
+        reg = MetricsRegistry()
+        tracker = reg.enable_spans()
+        results = run_experiments(NAMES, max_workers=2, common_kwargs=COMMON,
+                                  registry=reg, pool_worker=_crash_on_fig10)
+        expected = run_experiments(NAMES, max_workers=1, common_kwargs=COMMON)
+        for name in NAMES:
+            assert results[name].as_dict() == expected[name].as_dict(), name
+        snap = reg.as_dict()
+        for name in NAMES:
+            assert snap["phases"][f"experiment.{name}"]["calls"] == 1
+        assert snap["counters"]["parallel.fallback"] == 1
+        pids = {span.name: span.pid for span in tracker.spans}
+        assert pids["experiment.fig8"] != os.getpid()
+        assert pids["experiment.fig10"] == os.getpid()
+
+    def test_run_tasks_unpicklable_fn_runs_in_process(self):
         reg = MetricsRegistry()
         fn = lambda x: x + 1  # noqa: E731 - unpicklable -> pool failure
-        assert parallel_map(fn, [1, 2], max_workers=2,
-                            registry=reg) == [2, 3]
+        assert run_tasks(fn, [1, 2], max_workers=2, registry=reg) == [
+            (TASK_OK, 2), (TASK_OK, 3)]
         counters = reg.as_dict()["counters"]
         assert counters["parallel.fallback"] == 1
         assert any(name.startswith("parallel.fallback.")
@@ -182,22 +206,6 @@ class TestDispatchPlan:
             assert snap["phases"][f"experiment.{name}"]["calls"] == 1
 
 
-class TestParallelMap:
-    def test_order_preserved(self):
-        items = list(range(20))
-        assert parallel_map(_square, items, max_workers=4) == [
-            x * x for x in items]
-
-    def test_serial_path(self):
-        assert parallel_map(_square, [3], max_workers=8) == [9]
-        assert parallel_map(_square, [2, 3], max_workers=1) == [4, 9]
-
-    def test_unpicklable_fn_falls_back(self):
-        items = [1, 2, 3]
-        fn = lambda x: x + 1  # noqa: E731 - deliberately unpicklable
-        assert parallel_map(fn, items, max_workers=2) == [2, 3, 4]
-
-
 def _double(x):
     return x * 2
 
@@ -254,21 +262,18 @@ def _exit_or_sleep(x):
     return x * 2
 
 
-def _exit_if_child(args):
-    """Dies only in a pool worker: the serial salvage re-run (same pid as
-    the driver that dispatched it) computes the real value."""
-    driver_pid, x = args
-    if x < 0 and os.getpid() != driver_pid:
-        os._exit(13)
-    return x * 10
+def _sleep_then_tag(x):
+    time.sleep(0.1)
+    return ("slow", x)
+
+
+class _Abort(Exception):
+    pass
 
 
 class TestPersistentPool:
     """The default worker plane: long-lived workers reused across calls,
     dead workers replaced in place, crash blast radius of one worker."""
-
-    def test_default_mode_is_persistent(self):
-        assert pool_mode() == "persistent"
 
     def test_pool_created_once_and_reused(self):
         shutdown_pool()
@@ -310,111 +315,39 @@ class TestPersistentPool:
         # no serial degradation happened
         assert counters.get("parallel.fallback", 0) == 0
 
-    def test_parallel_map_salvages_finished_results(self):
-        """A mid-batch casualty must not discard completed siblings: only
-        the failed items re-run (serially, in the driver)."""
-        shutdown_pool()
-        reg = MetricsRegistry()
-        driver = os.getpid()
-        items = [(driver, 1), (driver, -1), (driver, 2), (driver, 3)]
-        results = parallel_map(_exit_if_child, items, max_workers=2,
-                               registry=reg)
-        assert results == [10, -10, 20, 30]
-        counters = reg.as_dict()["counters"]
-        assert counters["parallel.fallback"] == 1
-        assert counters.get("parallel.salvaged", 0) >= 1
-
     def test_shutdown_pool_idempotent(self):
         shutdown_pool()
         shutdown_pool()
         assert run_tasks(_double, [7], max_workers=2) == [(TASK_OK, 14)]
 
+    def test_aborted_call_leaves_no_stale_replies(self):
+        """A call whose callback raises stops the workers still running
+        its tasks: the next call on the pool sees only its own replies."""
+        shutdown_pool()
+        seen = []
 
-class TestFreshMode:
-    """REPRO_POOL=fresh keeps the legacy pool-per-call executor alive
-    (the benchmark baseline) with identical results."""
+        def abort_at_fifth(i, outcome):
+            seen.append(i)
+            if len(seen) == 5:
+                raise _Abort()
 
-    @pytest.fixture(autouse=True)
-    def _fresh(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "fresh")
-
-    def test_parallel_map_matches(self):
-        items = list(range(8))
-        assert parallel_map(_square, items, max_workers=2) == [
-            x * x for x in items]
-
-    def test_run_tasks_matches(self):
-        assert run_tasks(_double, [1, 2, 3], max_workers=2) == [
-            (TASK_OK, 2), (TASK_OK, 4), (TASK_OK, 6)]
-
-    def test_legacy_salvage_keeps_finished_results(self):
-        """The fresh-mode fallback also reuses futures that completed
-        before the pool broke instead of re-running everything."""
+        with pytest.raises(_Abort):
+            run_tasks(_sleep_then_tag, range(8), max_workers=2,
+                      on_result=abort_at_fifth)
+        time.sleep(0.3)  # the task still in flight has finished by now
         reg = MetricsRegistry()
-        driver = os.getpid()
-        items = [(driver, 1), (driver, 2), (driver, -1), (driver, 3)]
-        results = parallel_map(_exit_if_child, items, max_workers=2,
-                               registry=reg)
-        assert results == [10, 20, -10, 30]
-        counters = reg.as_dict()["counters"]
-        assert counters["parallel.fallback"] == 1
+        later = []
+        outcomes = run_tasks(_double, [20, 21], max_workers=2, registry=reg,
+                             on_result=lambda i, outcome: later.append(
+                                 (i, outcome)))
+        assert outcomes == [(TASK_OK, 40), (TASK_OK, 42)]
+        assert sorted(later) == [(0, (TASK_OK, 40)), (1, (TASK_OK, 42))]
+        assert reg.as_dict()["counters"]["pool.spawn"] >= 1
+        shutdown_pool()
 
 
 def _shard_echo(payload):
     return (os.getpid(), payload)
-
-
-class TestIdleReaping:
-    """REPRO_POOL_IDLE_S: idle workers are stopped after the timeout,
-    in-flight and pinned (shard-hosting) workers never are."""
-
-    def test_reap_idle_stops_idle_workers(self):
-        shutdown_pool()
-        reg = MetricsRegistry()
-        run_tasks(_double, [1, 2], max_workers=2, registry=reg)
-        pool = get_pool()
-        assert len(pool.worker_pids()) == 2
-        assert pool.reap_idle(registry=reg, timeout=0.0) == 2
-        assert pool.worker_pids() == []
-        assert reg.as_dict()["counters"]["pool.reaped"] == 2
-        # The pool itself survives: the next call just respawns workers.
-        assert run_tasks(_double, [3], max_workers=1,
-                         registry=reg) == [(TASK_OK, 6)]
-        shutdown_pool()
-
-    def test_reap_skips_pinned_shard_workers(self):
-        shutdown_pool()
-        reg = MetricsRegistry()
-        pool = get_pool(reg)
-        pool.shard_workers(1, reg)
-        run_tasks(_double, [1, 2], max_workers=2, registry=reg)
-        reaped = pool.reap_idle(registry=reg, timeout=0.0)
-        assert reaped >= 1  # the unpinned sibling(s) went away
-        assert len(pool.worker_pids()) == 1  # the shard host survived
-        pool.shard_unpin()
-        assert pool.reap_idle(registry=reg, timeout=0.0) == 1
-        shutdown_pool()
-
-    def test_timer_reaps_without_further_calls(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_IDLE_S", "0.15")
-        shutdown_pool()
-        run_tasks(_double, [1, 2], max_workers=2)
-        pool = get_pool()
-        deadline = time.time() + 10
-        while pool.worker_pids() and time.time() < deadline:
-            time.sleep(0.05)
-        assert pool.worker_pids() == []
-        shutdown_pool()
-
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_IDLE_S", raising=False)
-        from repro.harness.parallel import pool_idle_timeout
-
-        assert pool_idle_timeout() is None
-        monkeypatch.setenv("REPRO_POOL_IDLE_S", "junk")
-        assert pool_idle_timeout() is None
-        monkeypatch.setenv("REPRO_POOL_IDLE_S", "2.5")
-        assert pool_idle_timeout() == 2.5
 
 
 class TestConcurrentShutdown:
