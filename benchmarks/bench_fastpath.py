@@ -4,13 +4,15 @@ parallel runner actually deliver, measured and recorded.
 Four claims (docs/PERFORMANCE.md):
 
 * **End-to-end profile speedup.** Figure 8 over a warm cache (packed
-  traces loaded from disk) runs at least 1.5x faster than the legacy path
-  (cache disabled, per-run generation into Instruction objects).
-* **Warm-cache loads** beat regeneration by at least 5x on gcc and
-  vortex.
-* **Packed profile loop** beats the Instruction-object loop even with the
-  trace already in memory (predictor work dominates, so this ratio is
-  modest — the end-to-end number is the one that matters).
+  traces loaded from disk) runs at least 1.5x faster than with the cache
+  disabled, where every run generates and packs its traces afresh before
+  running the same kernels.
+* **Warm-cache loads** beat regeneration (generating and packing the
+  trace) by at least 5x on gcc and vortex.
+* **Packed profile loop** beats the Instruction-object loop (the generic
+  loop over a plain list of ``Instruction`` records) even with the trace
+  already in memory (predictor work dominates, so this ratio is modest —
+  the end-to-end number is the one that matters).
 * **Parallel runner** scales the registry across cores; the >= 2.5x
   wall-clock target applies on machines with >= 4 usable cores (measured
   values are recorded unconditionally).
@@ -28,7 +30,6 @@ from repro.harness.experiments import fig8
 from repro.harness.parallel import default_workers, run_experiments
 from repro.harness.runner import run_value_prediction
 from repro.predictors import DFCMPredictor, StridePredictor
-from repro.trace import PackedTrace
 from repro.trace.cache import default_cache
 from repro.trace.workloads import get
 
@@ -56,7 +57,7 @@ def _fresh_predictors():
 
 
 def bench_fig8_end_to_end(benchmark, record_metrics, monkeypatch):
-    """Warm cache + packed fast path vs the legacy generate-and-walk path."""
+    """Warm cache vs generating and packing every trace per run."""
     monkeypatch.setenv("REPRO_CACHE", "0")
     cold = _best(lambda: fig8(length=LENGTH, benchmarks=BENCHES))
     monkeypatch.delenv("REPRO_CACHE")
@@ -99,8 +100,8 @@ def bench_warm_cache_load(record_metrics, benchmark):
 
 def bench_packed_profile_loop(record_metrics, benchmark):
     """The in-memory SoA loop vs the Instruction-object loop."""
-    trace = get("gcc").trace(LENGTH)
-    packed = PackedTrace.from_instructions(trace, name="gcc")
+    packed = get("gcc").trace(LENGTH)
+    trace = list(packed)
     packed.value_pairs()  # build the column cache outside the timed region
     slow = _best(lambda: run_value_prediction(trace, _fresh_predictors()))
     fast = _best(lambda: run_value_prediction(packed, _fresh_predictors()))

@@ -45,7 +45,6 @@ from ..harness.parallel import TASK_OK, default_workers, run_tasks
 from ..telemetry import MetricsRegistry, RunManifest, get_logger
 from ..trace import shm
 from ..trace.cache import cache_enabled, default_cache, effective_length
-from ..trace.packed import PackedTrace
 from .spec import Cell, CampaignSpec
 from .store import CampaignStore
 
@@ -315,7 +314,7 @@ class CampaignScheduler:
                     log.warning("cache warm failed for %s length=%s: %s",
                                 bench, length, exc)
                     continue
-                if shm.shm_enabled() and isinstance(trace, PackedTrace):
+                if shm.shm_enabled():
                     # Publish under the *effective* seed and *effective*
                     # length so worker-side ``cached_trace`` lookups
                     # (which resolve a None seed to the workload default

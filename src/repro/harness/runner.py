@@ -7,7 +7,8 @@ the actual outcome at its "write-back" — which, in a profile run, happens
 immediately.  Pipeline-timed evaluation (value delay, SGVQ, HGVQ, IPC)
 lives in :mod:`repro.pipeline`.
 
-Fast path: a :class:`~repro.trace.packed.PackedTrace` exposes its
+Fast path: every trace source returns a
+:class:`~repro.trace.packed.PackedTrace`, which exposes its
 value-producing ``(pc, value)`` (and load ``(pc, addr)``) streams as
 precomputed columns, so an un-instrumented profile run walks two flat
 arrays per predictor instead of dereferencing one dataclass per dynamic
@@ -16,10 +17,12 @@ instruction.  Predictors with a fused kernel (see
 the rest use the tight per-predictor loops below.  All fast paths perform
 *identical* accounting to the generic loop — same
 :class:`PredictionStats` to the last counter (asserted by
-``tests/test_packed.py`` and ``tests/test_kernel_equivalence.py``) — and
-the generic loop remains the only path whenever telemetry, events or
-progress callbacks need per-instruction interleaving.  ``REPRO_KERNELS=0``
-forces the non-kernel loops.
+``tests/test_packed.py`` and ``tests/test_kernel_equivalence.py``).  The
+generic loop walks ``Instruction`` objects: it runs whenever telemetry,
+events or progress callbacks need per-instruction interleaving, and for a
+plain ``list`` of instructions, the reference the equivalence tests
+compare the fast paths against.  ``REPRO_KERNELS=0`` forces the
+non-kernel loops.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from ..predictors.base import PredictionStats, ValuePredictor
 from ..predictors.confidence import ConfidenceTable
 from ..predictors.markov import MarkovPredictor
 from ..trace.isa import Instruction, OpClass
+from ..trace.packed import PackedTrace
 
 #: Value-producing instructions per windowed-accuracy sample
 #: (``harness.window_accuracy.*`` series).
@@ -334,18 +338,18 @@ def warm_then_measure(
     The paper skips 200M-500M instructions before measuring; we warm the
     predictors on the first *warmup* instructions (training but not
     scoring) and report statistics over the next *measure* instructions.
-    Both phases stream straight off the source iterator — nothing is
-    buffered, so arbitrarily long (even endless) workload generators are
-    fine.
+    Each phase is packed as it is reached, so both run on the packed fast
+    paths, only one phase's columns are held at a time, and arbitrarily
+    long (even endless) workload generators are fine.
 
     Args:
         trace_factory: callable returning an instruction iterator, or an
-            already-materialised iterable (e.g. a :class:`Trace` /
-            :class:`~repro.trace.packed.PackedTrace`), which is consumed
-            in place without re-buffering.
+            already-materialised instruction iterable (e.g. a
+            :class:`~repro.trace.packed.PackedTrace`), which is split
+            into the two phases in order.
     """
     stream = iter(trace_factory() if callable(trace_factory) else trace_factory)
-    run_value_prediction(itertools.islice(stream, warmup), predictors,
-                         gated=False)
-    return run_value_prediction(itertools.islice(stream, measure), predictors,
-                                gated=gated)
+    warm = PackedTrace.from_instructions(itertools.islice(stream, warmup))
+    run_value_prediction(warm, predictors, gated=False)
+    measured = PackedTrace.from_instructions(itertools.islice(stream, measure))
+    return run_value_prediction(measured, predictors, gated=gated)

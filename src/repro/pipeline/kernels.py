@@ -95,9 +95,10 @@ loop over flat state, applying the same playbook the predictor kernels in
 Shapes the kernel does not model decline cleanly — :func:`run_fast`
 returns ``None`` before mutating anything and the caller falls back to
 the object loop: attached telemetry (the object path owns the per-cycle
-occupancy/stall accounting), subclassed cores or adapters, plain object
-``Trace`` inputs, tagged tables, attached event recorders, and predictor
-shapes outside the LocalPredictorAdapter/SGVQ/HGVQ families.
+occupancy/stall accounting), subclassed cores or adapters, plain
+``Instruction`` lists and other non-packed inputs, tagged tables,
+attached event recorders, and predictor shapes outside the
+LocalPredictorAdapter/SGVQ/HGVQ families.
 ``REPRO_KERNELS=0`` disables the kernel entirely (checked per call).
 
 Equivalence — bit-identical :class:`SimResult` plus identical cache,

@@ -14,7 +14,8 @@ that campaign cell").
 Cross-process story: a driver captures :meth:`SpanTracker.context` —
 ``(trace_id, parent span_id)`` — and ships it to pool workers, which
 build their own tracker from it.  Span start times are *absolute* wall
-clock (``time.time_ns()``), so spans recorded by separate processes on
+clock (``time.time_ns()`` units, anchored once per process and advanced
+by the monotonic perf counter), so spans recorded by separate processes on
 one machine land on one timeline; the driver's
 :class:`~repro.telemetry.manifest.RunManifest` records the epoch
 (``clock_epoch_ns``) every exported timestamp is anchored to.  Worker
@@ -37,6 +38,13 @@ from typing import Any, Dict, Iterable, List, Optional
 #: Snapshot schema version for span lists shipped between processes.
 SPAN_SCHEMA_VERSION = 1
 
+#: One wall-clock/perf-counter pair, read once per process.  A span's
+#: absolute start is this wall anchor plus its perf-counter offset, so its
+#: start and its duration come from one monotonic clock and a child span
+#: can never end after its parent.
+_WALL_ANCHOR_NS = time.time_ns()
+_PERF_ANCHOR_NS = time.perf_counter_ns()
+
 
 def new_trace_id() -> str:
     """A fresh 16-hex-digit trace identity."""
@@ -55,11 +63,11 @@ class Span:
         self.span_id = span_id
         self.parent_id = parent_id
         self.pid = pid
-        self.start_ns = time.time_ns()
+        self._perf0 = time.perf_counter_ns()
+        self.start_ns = _WALL_ANCHOR_NS + (self._perf0 - _PERF_ANCHOR_NS)
         self.dur_ns = 0
         self.cpu_ns = 0
         self.args: Optional[Dict[str, Any]] = None
-        self._perf0 = time.perf_counter_ns()
         self._cpu0 = time.process_time_ns()
 
     @property

@@ -1,14 +1,16 @@
 """Trace model and synthetic workload infrastructure.
 
 The reproduction is trace driven: :mod:`repro.trace.isa` defines the
-dynamic-instruction record, :mod:`repro.trace.trace` the trace containers,
+dynamic-instruction record, :mod:`repro.trace.packed` the one trace
+container (:class:`PackedTrace`, which every trace source returns),
+:mod:`repro.trace.trace` its summary statistics and stream extractions,
 :mod:`repro.trace.kernels` the value-stream building blocks, and
 :mod:`repro.trace.workloads` the ten SPECint2000-like benchmark generators.
 """
 
 from .isa import NUM_REGS, Instruction, OpClass, branch, ialu, load, store
-from .packed import PackedTrace, pack_trace
-from .trace import Trace, TraceStats, load_address_stream, take, value_stream
+from .packed import PackedTrace
+from .trace import TraceStats, load_address_stream, value_stream
 
 __all__ = [
     "Instruction",
@@ -18,11 +20,8 @@ __all__ = [
     "load",
     "store",
     "branch",
-    "Trace",
     "TraceStats",
     "PackedTrace",
-    "pack_trace",
-    "take",
     "value_stream",
     "load_address_stream",
 ]

@@ -17,8 +17,9 @@ Configuration:
 
 * ``REPRO_CACHE_DIR`` — cache directory (default
   ``~/.cache/repro-traces``).
-* ``REPRO_CACHE=0`` — disable the cache entirely (experiments fall back
-  to in-memory generation).
+* ``REPRO_CACHE=0`` — disable the cache entirely: no memo, shm or disk
+  tier is read or written, and every call generates its trace afresh.
+  The trace is still a ``PackedTrace``, so the same code runs either way.
 
 Telemetry: an attached :class:`~repro.telemetry.MetricsRegistry` receives
 ``cache.hit`` / ``cache.miss`` / ``cache.store`` / ``cache.invalid`` /
@@ -37,8 +38,6 @@ import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
-
-from itertools import islice
 
 from ..telemetry import get_logger
 from . import shm
@@ -219,14 +218,13 @@ class TraceCache:
                          code_copies: int = 1) -> PackedTrace:
         """Return the packed trace for *workload*, from disk when possible.
 
-        A miss generates the trace (identical stream to
-        :meth:`WorkloadSpec.trace`), stores it, and returns the packed
-        form; an unreadable entry counts as ``cache.invalid`` and is
-        regenerated in place.  Concurrent misses on the same key are
-        serialised through a per-entry lockfile: exactly one process
-        generates while the others wait (``cache.lock_wait``) and then
-        load its entry, so a parallel campaign never burns N cores
-        regenerating one trace N times.
+        A miss generates the trace through :meth:`WorkloadSpec.trace`,
+        stores it, and returns it; an unreadable entry counts as
+        ``cache.invalid`` and is regenerated in place.  Concurrent
+        misses on the same key are serialised through a per-entry
+        lockfile: exactly one process generates while the others wait
+        (``cache.lock_wait``) and then load its entry, so a parallel
+        campaign never burns N cores regenerating one trace N times.
         """
         spec = _resolve(workload)
         effective_seed = spec.seed if seed is None else seed
@@ -272,9 +270,7 @@ class TraceCache:
                             length: int, seed: Optional[int],
                             code_copies: int) -> PackedTrace:
         self._count("miss")
-        stream = spec.generate(seed=seed, code_copies=code_copies)
-        packed = PackedTrace.from_instructions(islice(stream, length),
-                                               name=spec.name)
+        packed = spec.trace(length, seed=seed, code_copies=code_copies)
         self._store(packed, path)
         return packed
 
@@ -493,9 +489,9 @@ def memo_clear() -> None:
 
 def cached_trace(workload: Union[str, WorkloadSpec], length: int,
                  seed: Optional[int] = None, code_copies: int = 1,
-                 metrics=None):
-    """The experiment harness entry point: packed-and-cached when the
-    cache is enabled, plain in-memory generation otherwise.
+                 metrics=None) -> PackedTrace:
+    """The experiment harness entry point: a packed trace, cached when
+    the cache is enabled and generated afresh otherwise.
 
     Lookup tiers, cheapest first: the in-process memo (same object
     back), the shared-memory trace plane (zero-copy attach to a segment
@@ -503,25 +499,23 @@ def cached_trace(workload: Union[str, WorkloadSpec], length: int,
     the on-disk cache.  Every tier yields bit-identical columns; shm
     and memo hits both count ``cache.hit``.
     """
-    if cache_enabled():
-        spec = _resolve(workload)
-        effective_seed = spec.seed if seed is None else seed
-        length = effective_length(spec, length)
-        memo_key = (str(cache_root()), spec.name, length, effective_seed,
-                    code_copies)
-        hit = _memo_get(memo_key, metrics)
-        if hit is not None:
-            return hit
-        trace = shm.shm_trace(spec.name, length, effective_seed,
-                              code_copies, metrics=metrics)
-        if trace is not None:
-            if metrics is not None:
-                metrics.counter("cache.hit").inc()
-        else:
-            trace = default_cache(metrics=metrics).load_or_generate(
-                spec, length, seed=seed, code_copies=code_copies)
-        if isinstance(trace, PackedTrace):
-            _memo_put(memo_key, trace, metrics)
-        return trace
     spec = _resolve(workload)
-    return spec.trace(length, seed=seed, code_copies=code_copies)
+    if not cache_enabled():
+        return spec.trace(length, seed=seed, code_copies=code_copies)
+    effective_seed = spec.seed if seed is None else seed
+    length = effective_length(spec, length)
+    memo_key = (str(cache_root()), spec.name, length, effective_seed,
+                code_copies)
+    hit = _memo_get(memo_key, metrics)
+    if hit is not None:
+        return hit
+    trace = shm.shm_trace(spec.name, length, effective_seed,
+                          code_copies, metrics=metrics)
+    if trace is not None:
+        if metrics is not None:
+            metrics.counter("cache.hit").inc()
+    else:
+        trace = default_cache(metrics=metrics).load_or_generate(
+            spec, length, seed=seed, code_copies=code_copies)
+    _memo_put(memo_key, trace, metrics)
+    return trace

@@ -5,9 +5,9 @@ running Python program — into a stream of
 :class:`~repro.trace.isa.Instruction` events that pack straight into
 :class:`~repro.trace.packed.PackedTrace` columns.  Adapters are
 streaming by contract: they yield events one at a time and never
-materialise the object :class:`~repro.trace.trace.Trace`, so importing a
-multi-gigabyte dump needs memory proportional to the *packed* columns,
-not to a list of instruction objects.
+materialise an instruction list, so importing a multi-gigabyte dump
+needs memory proportional to the *packed* columns, not to a list of
+instruction objects.
 
 Every adapter reports malformed input as
 :class:`~repro.trace.io.IngestError` carrying the offending byte offset

@@ -28,7 +28,7 @@ resolve to the wrong name and are then dropped.
 
 The capture adapter cannot stream (the program must run to completion),
 so it packs events straight into :class:`PackedTrace` columns — no
-object ``Trace``, no instruction list.
+instruction objects, no instruction list.
 """
 
 from __future__ import annotations

@@ -294,10 +294,10 @@ class ImportedWorkloadSpec(WorkloadSpec):
         return iter(self.load_full())
 
     def trace(self, length: int, seed: Optional[int] = None,
-              code_copies: int = 1):
+              code_copies: int = 1) -> PackedTrace:
         self._check_copies(code_copies)
         packed = self.load_full()
-        return packed[:min(length, len(packed))].to_trace()
+        return packed[:min(length, len(packed))]
 
 
 def get_spec(name: str) -> ImportedWorkloadSpec:

@@ -43,11 +43,10 @@ import sys
 import zlib
 from array import array
 from pathlib import Path
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 from .isa import Instruction, OpClass
 from .packed import COLUMNS, PackedTrace
-from .trace import Trace
 
 _HEADER_PREFIX = "#repro-trace v1"
 
@@ -152,9 +151,10 @@ def save_trace(trace: Iterable[Instruction], path: Union[str, Path],
                name: str = "trace") -> int:
     """Write a trace to *path* (gzip if the name ends in .gz).
 
-    Returns the number of instructions written.
+    A :class:`PackedTrace` records its own name; *name* labels any other
+    instruction iterable.  Returns the number of instructions written.
     """
-    if isinstance(trace, Trace):
+    if isinstance(trace, PackedTrace):
         name = trace.name
     count = 0
     with _open(path, "w") as fh:
@@ -165,46 +165,39 @@ def save_trace(trace: Iterable[Instruction], path: Union[str, Path],
     return count
 
 
+def _read(fh, path: Union[str, Path]) -> Tuple[str, Iterator[Instruction]]:
+    """Check an open trace file's header; return the trace's recorded name
+    and a lazy iterator over its instructions."""
+    header = fh.readline().rstrip("\n")
+    if not header.startswith(_HEADER_PREFIX):
+        raise ValueError(f"{path}: not a repro trace file")
+    name = header[len(_HEADER_PREFIX):].strip() or Path(path).stem
+    lines = (line.rstrip("\n") for line in fh)
+    return name, (_decode(line) for line in lines if line)
+
+
 def iter_trace(path: Union[str, Path]) -> Iterator[Instruction]:
     """Stream instructions from a saved trace file."""
     with _open(path, "r") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(_HEADER_PREFIX):
-            raise ValueError(f"{path}: not a repro trace file")
-        for line in fh:
-            line = line.rstrip("\n")
-            if line:
-                yield _decode(line)
+        yield from _read(fh, path)[1]
 
 
-def load_trace(path: Union[str, Path]) -> Trace:
-    """Load a full trace (with its recorded name) from *path*."""
-    path = Path(path)
+def load_trace(path: Union[str, Path]) -> PackedTrace:
+    """Load a full trace (with its recorded name) from *path*, packed."""
     with _open(path, "r") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(_HEADER_PREFIX):
-            raise ValueError(f"{path}: not a repro trace file")
-        name = header[len(_HEADER_PREFIX):].strip() or path.stem
-        instructions: List[Instruction] = []
-        for line in fh:
-            line = line.rstrip("\n")
-            if line:
-                instructions.append(_decode(line))
-    return Trace(instructions, name=name)
+        name, instructions = _read(fh, path)
+        return PackedTrace.from_instructions(instructions, name=name)
 
 
-def save_packed(trace, path: Union[str, Path], name: str = "trace",
+def save_packed(trace: PackedTrace, path: Union[str, Path],
                 compresslevel: int = 1) -> int:
-    """Write a trace to *path* in the binary packed format.
+    """Write a packed trace to *path* in the binary packed format.
 
-    *trace* may be a :class:`PackedTrace` (written directly) or any
-    instruction iterable (packed first).  Level-1 zlib wins nearly all of
-    the size at a fraction of the CPU of the default level — the cache is
-    read far more often than written, and decompression speed is level
-    independent.  Returns the number of bytes written.
+    Level-1 zlib wins nearly all of the size at a fraction of the CPU of
+    the default level — the cache is read far more often than written,
+    and decompression speed is level independent.  Returns the number of
+    bytes written.
     """
-    if not isinstance(trace, PackedTrace):
-        trace = PackedTrace.from_instructions(trace, name=name)
     columns = trace.columns()
     count = len(trace)
     name_bytes = trace.name.encode("utf-8")

@@ -22,11 +22,14 @@ Field encoding (one entry per dynamic instruction):
   to 10 sources of up to 64 architectural registers — far beyond the
   MIPS-like ISA modelled here).
 
-The class is API-compatible with :class:`~repro.trace.trace.Trace` for
-everything the harness and pipeline consume: ``len``, indexing, iteration
-(yielding real ``Instruction`` records built on demand), ``name`` and
-``stats``.  The serialised twin of this layout is the binary trace-cache
-format in :mod:`repro.trace.io`.
+It is the one trace container: workload generators, the trace cache,
+the text and binary loaders and imported recordings all hand out a
+``PackedTrace``.  Besides the column accessors it offers what the object
+consumers need — ``len``, indexing, iteration (yielding real
+``Instruction`` records built on demand), ``name`` and ``stats``.  Code
+that must walk instruction objects repeatedly builds a plain ``list``
+from one iteration.  The serialised twin of this layout is the binary
+trace-cache format in :mod:`repro.trace.io`.
 
 Columns are normally ``array`` objects, but any buffer exposing the same
 typed-element protocol works: the shared-memory trace plane
@@ -42,7 +45,7 @@ from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .isa import Instruction, OpClass
-from .trace import Trace, TraceStats
+from .trace import TraceStats
 
 # Presence / derived-fact bits of the flags column.
 FLAG_DEST = 0x01
@@ -57,6 +60,9 @@ _WORD_LIMIT = 1 << 64
 _MAX_SRCS = 10
 _SRC_BITS = 6
 _SRC_MASK = (1 << _SRC_BITS) - 1
+
+#: ``OpClass`` member by column value (the ``ops`` column's decoder).
+_OPS: Tuple[OpClass, ...] = tuple(OpClass)
 
 #: Column names in serialisation order, with their array typecodes.  The
 #: binary cache format (trace/io.py) writes exactly these columns.
@@ -129,7 +135,7 @@ class PackedTrace:
         self._start = start
         self._stop = length if stop is None else stop
         self._stats: Optional[TraceStats] = None
-        self._value_cache: Optional[Tuple[array, array, array]] = None
+        self._value_cache: Optional[Tuple[array, array]] = None
         self._load_cache: Optional[Tuple[array, array]] = None
 
     # -- construction ----------------------------------------------------
@@ -137,8 +143,6 @@ class PackedTrace:
     def from_instructions(cls, instructions: Iterable[Instruction],
                           name: str = "trace") -> "PackedTrace":
         """Pack an instruction stream (consumed once, never materialised)."""
-        if isinstance(instructions, Trace):
-            name = instructions.name
         cols = {col: array(tc) for col, tc in COLUMNS}
         pcs = cols["pcs"].append
         ops = cols["ops"].append
@@ -241,11 +245,28 @@ class PackedTrace:
         return self.instruction_at(index)
 
     def __iter__(self) -> Iterator[Instruction]:
-        at = self.instruction_at
-        for index in range(len(self)):
-            yield at(index)
+        # One zip over the view's columns: no per-index bounds check or
+        # column lookups, and each distinct source word unpacks once.
+        ops = _OPS
+        regs: Dict[int, Tuple[int, ...]] = {}
+        view = self.columns()
+        for pc, op, flag, dest, srcs, value, addr, target, latency in zip(
+                *(view[col] for col, _tc in COLUMNS)):
+            src_regs = regs.get(srcs)
+            if src_regs is None:
+                src_regs = regs[srcs] = unpack_srcs(srcs)
+            yield Instruction(
+                pc, ops[op],
+                dest if flag & FLAG_DEST else None,
+                src_regs,
+                value if flag & FLAG_VALUE else None,
+                addr if flag & FLAG_ADDR else None,
+                bool(flag & FLAG_TAKEN_TRUE) if flag & FLAG_TAKEN else None,
+                target if flag & FLAG_TARGET else None,
+                latency,
+            )
 
-    # -- Trace-compatible surface ----------------------------------------
+    # -- summaries and filtered views ------------------------------------
     @property
     def stats(self) -> TraceStats:
         """Summary statistics, computed from the columns (no objects built)."""
@@ -299,39 +320,22 @@ class PackedTrace:
                 histories.setdefault(pcs[i], []).append(values[i])
         return histories
 
-    def to_trace(self) -> Trace:
-        """Materialise a plain :class:`Trace` (instruction objects)."""
-        return Trace(iter(self), name=self.name)
-
     # -- fast-path column access -----------------------------------------
-    def value_columns(self) -> Tuple[array, array, array]:
-        """``(indices, pcs, values)`` columns of the value-producing
-        instructions in this view.
-
-        *indices* are view-relative positions (what ``enumerate`` over the
-        full trace would report), so instrumented callers can keep exact
-        progress/event bookkeeping.  Built once per view and cached.
-        """
+    def value_pairs(self) -> Tuple[array, array]:
+        """``(pcs, values)`` columns of the value-producing instructions
+        in this view (built once per view and cached)."""
         if self._value_cache is None:
-            idx = array("Q")
             vpcs = array("Q")
             vvals = array("Q")
             flags = self._cols["flags"]
             pcs = self._cols["pcs"]
             values = self._cols["values"]
-            start = self._start
-            for i in range(start, self._stop):
+            for i in range(self._start, self._stop):
                 if flags[i] & FLAG_PRODUCES:
-                    idx.append(i - start)
                     vpcs.append(pcs[i])
                     vvals.append(values[i])
-            self._value_cache = (idx, vpcs, vvals)
+            self._value_cache = (vpcs, vvals)
         return self._value_cache
-
-    def value_pairs(self) -> Tuple[array, array]:
-        """``(pcs, values)`` columns of the value-producing instructions."""
-        _, pcs, values = self.value_columns()
-        return pcs, values
 
     def load_pairs(self) -> Tuple[array, array]:
         """``(pcs, addrs)`` columns of the load instructions in this view."""
@@ -390,8 +394,3 @@ class PackedTrace:
 def _rebuild_packed(columns: Dict[str, array], name: str) -> "PackedTrace":
     """Unpickle target for :meth:`PackedTrace.__reduce__`."""
     return PackedTrace(columns, name=name)
-
-
-def pack_trace(trace: Iterable[Instruction], name: str = "trace") -> PackedTrace:
-    """Convenience alias for :meth:`PackedTrace.from_instructions`."""
-    return PackedTrace.from_instructions(trace, name=name)

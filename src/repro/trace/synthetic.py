@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence
 
 from .isa import Instruction, branch
 from .kernels import Kernel, RegAllocator
-from .trace import Trace
+from .packed import PackedTrace
 
 #: Where synthetic code regions start.  Kernels are packed contiguously
 #: (each gets room for its PC copies, minimum 4 KiB) the way a compiler
@@ -157,17 +158,19 @@ class WorkloadSpec:
                     )
 
     def trace(self, length: int, seed: Optional[int] = None,
-              code_copies: int = 1) -> Trace:
-        """Materialise *length* instructions of this benchmark."""
+              code_copies: int = 1) -> PackedTrace:
+        """Materialise *length* instructions of this benchmark, packed.
+
+        The trace cache fills its entries through this method, so a
+        workload's trace is packed in one place.
+        """
         stream = self.generate(seed=seed, code_copies=code_copies)
-        instructions = []
-        append = instructions.append
-        for _ in range(length):
-            append(next(stream))
-        return Trace(instructions, name=self.name)
+        return PackedTrace.from_instructions(islice(stream, length),
+                                             name=self.name)
 
 
-def interleave(specs: Sequence[WorkloadSpec], length: int, seed: int = 0) -> Trace:
+def interleave(specs: Sequence[WorkloadSpec], length: int,
+               seed: int = 0) -> PackedTrace:
     """Round-robin several workloads into one trace (multiprogrammed mix).
 
     Not used by the paper's experiments but handy for stress testing
@@ -183,4 +186,5 @@ def interleave(specs: Sequence[WorkloadSpec], length: int, seed: int = 0) -> Tra
             if len(instructions) >= length:
                 break
         i += 1
-    return Trace(instructions, name="+".join(s.name for s in specs))
+    return PackedTrace.from_instructions(
+        instructions, name="+".join(s.name for s in specs))

@@ -1,24 +1,23 @@
-"""Trace containers and stream utilities.
+"""Trace summary statistics and stream utilities.
 
-A *trace* is simply an iterable of :class:`~repro.trace.isa.Instruction`
-records in dynamic program order (the committed instruction stream).  This
-module provides:
+A *trace* is an iterable of :class:`~repro.trace.isa.Instruction` records
+in dynamic program order (the committed instruction stream).  Every trace
+source materialises one as a :class:`~repro.trace.packed.PackedTrace`; the
+helpers here accept any instruction iterable, a plain ``list`` included.
+This module provides:
 
-* :class:`Trace` — a materialised trace with summary statistics, suitable
-  for running several predictors over the same instruction stream.
+* :class:`TraceStats` — the summary a ``PackedTrace`` reports as ``stats``.
 * :func:`value_stream` — extract the global value history (the ordered
   sequence of values produced by all value-producing instructions), which
   is the object of study of the paper.
 * :func:`load_address_stream` — extract the load-address stream used by the
   Section 6 experiments.
-* :func:`take` — bounded materialisation of a generator-backed workload.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Tuple
 
 from .isa import Instruction, OpClass
 
@@ -41,71 +40,6 @@ class TraceStats:
             f"{self.stores} stores, {self.branches} branches, "
             f"{self.static_pcs} static PCs)"
         )
-
-
-class Trace:
-    """A materialised dynamic instruction trace.
-
-    The class is a thin wrapper around a list of instructions that also
-    computes summary statistics and supports slicing, iteration and the
-    common stream extractions used by the experiment harness.
-    """
-
-    def __init__(self, instructions: Iterable[Instruction], name: str = "trace"):
-        self.name = name
-        self.instructions: List[Instruction] = list(instructions)
-        self._stats: Optional[TraceStats] = None
-
-    def __len__(self) -> int:
-        return len(self.instructions)
-
-    def __iter__(self) -> Iterator[Instruction]:
-        return iter(self.instructions)
-
-    def __getitem__(self, index):
-        return self.instructions[index]
-
-    @property
-    def stats(self) -> TraceStats:
-        """Compute (and cache) summary statistics for the trace."""
-        if self._stats is None:
-            stats = TraceStats()
-            pcs = set()
-            for insn in self.instructions:
-                stats.total += 1
-                pcs.add(insn.pc)
-                if insn.produces_value:
-                    stats.value_producing += 1
-                if insn.op is OpClass.LOAD:
-                    stats.loads += 1
-                elif insn.op is OpClass.STORE:
-                    stats.stores += 1
-                elif insn.op is OpClass.BRANCH:
-                    stats.branches += 1
-            stats.static_pcs = len(pcs)
-            self._stats = stats
-        return self._stats
-
-    def value_producing(self) -> Iterator[Instruction]:
-        """Iterate over only the value-producing instructions."""
-        return (i for i in self.instructions if i.produces_value)
-
-    def loads(self) -> Iterator[Instruction]:
-        """Iterate over only the load instructions."""
-        return (i for i in self.instructions if i.op is OpClass.LOAD)
-
-    def per_pc_values(self) -> Dict[int, List[int]]:
-        """Group produced values by static PC (the *local* value histories)."""
-        histories: Dict[int, List[int]] = {}
-        for insn in self.instructions:
-            if insn.produces_value:
-                histories.setdefault(insn.pc, []).append(insn.value)
-        return histories
-
-
-def take(stream: Iterable[Instruction], count: int, name: str = "trace") -> Trace:
-    """Materialise the first *count* instructions of a workload stream."""
-    return Trace(itertools.islice(stream, count), name=name)
 
 
 def value_stream(trace: Iterable[Instruction]) -> List[int]:

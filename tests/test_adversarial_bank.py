@@ -8,6 +8,8 @@ full bank here would double its cost for no extra signal); and
 correctly on small lengths.
 """
 
+from itertools import islice
+
 import pytest
 
 from repro.harness.workbank import (
@@ -67,7 +69,7 @@ class TestScenarios:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         name = SCENARIOS[0]
         packed = cached_trace(name, LENGTH)
-        direct = get(name).trace(LENGTH)
+        direct = list(islice(get(name).generate(), LENGTH))
         pcs, values = packed.value_pairs()
         expect = [(i.pc, i.value) for i in direct if i.produces_value]
         assert list(zip(pcs, values)) == expect

@@ -120,8 +120,8 @@ class TestWarmThenMeasure:
         assert stats["s"].raw_accuracy == 1.0
 
     def test_accepts_materialised_trace(self):
-        # An already-built iterable (list/Trace/PackedTrace) is consumed in
-        # place; warm and measure phases split it without re-buffering.
+        # An already-built iterable (list/PackedTrace) is split, in order,
+        # into the warm and measure phases.
         trace = stride_trace(100)
         stats = warm_then_measure(trace, {"s": StridePredictor(entries=None)},
                                   warmup=50, measure=50)

@@ -95,17 +95,16 @@ class TestAdapters:
         packed = load_imported("t-csv")
         assert doc["events"] == len(packed) == 50
         assert doc["value_events"] == 50
-        trace = packed.to_trace()
-        assert trace[0].op is OpClass.LOAD  # is_load=1 on even rows
-        assert trace[0].addr == 0x7f0000
-        assert trace[1].op is OpClass.IALU
-        assert trace[3].value == 3 * 8
+        assert packed[0].op is OpClass.LOAD  # is_load=1 on even rows
+        assert packed[0].addr == 0x7f0000
+        assert packed[1].op is OpClass.IALU
+        assert packed[3].value == 3 * 8
 
     def test_csv_without_header_and_negative_values(self, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("0x10,-1\n0x10,-2\n", encoding="utf-8")
         import_trace(path, name="neg")
-        trace = load_imported("neg").to_trace()
+        trace = load_imported("neg")
         assert trace[0].value == (1 << 64) - 1
         assert trace[1].value == (1 << 64) - 2
 
@@ -122,14 +121,14 @@ class TestAdapters:
         source = _ndjson_source(tmp_path / "t.ndjson", rows=40)
         doc = import_trace(source)
         assert doc["name"] == "t"  # derived from the filename
-        trace = load_imported("t").to_trace()
+        trace = load_imported("t")
         assert trace[7].pc == 0x500000 + (7 % 3) * 4
         assert trace[7].value == 21
 
     def test_cvp_round_trip_preserves_op_classes(self, tmp_path):
         source = _cvp_source(tmp_path / "t.cvp", rows=25)
         doc = import_trace(source, name="t-cvp")
-        trace = load_imported("t-cvp").to_trace()
+        trace = load_imported("t-cvp")
         assert doc["events"] == 25
         assert trace[4].op is OpClass.LOAD
         assert trace[4].addr == 0x9000 + 4 * 8
@@ -140,7 +139,7 @@ class TestAdapters:
     def test_champsim_round_trip_classification(self, tmp_path):
         source = _champsim_source(tmp_path / "t.champsimtrace", rows=16)
         doc = import_trace(source, name="t-ch")
-        trace = load_imported("t-ch").to_trace()
+        trace = load_imported("t-ch")
         assert [i.op for i in trace[:4]] == [
             OpClass.LOAD, OpClass.BRANCH, OpClass.STORE, OpClass.IALU]
         # Loads carry value := effective address; ALUs are valueless.
@@ -439,8 +438,7 @@ class TestCapture:
             "    acc = acc + v\n"
         ))
         packed, _ = capture_script(script)
-        trace = packed.to_trace()
-        loads = [i for i in trace if i.op is OpClass.LOAD]
+        loads = [i for i in packed if i.op is OpClass.LOAD]
         assert len(loads) >= 64  # every `v = arr[i]` store
         assert all(i.value is not None for i in loads)
 

@@ -158,7 +158,7 @@ def test_pipeline_kernel_matches_object_core(adapter, tmp_path,
     results = {}
     for flag in ("0", "1"):
         monkeypatch.setenv("REPRO_KERNELS", flag)
-        trace = cached_trace(name, events).to_trace()
+        trace = cached_trace(name, events)
         vp = LocalPredictorAdapter(StridePredictor(entries=256))
         core = OutOfOrderCore(value_predictor=vp)
         sim = core.run(trace)

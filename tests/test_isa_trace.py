@@ -1,17 +1,16 @@
-"""Tests for the instruction model and trace containers."""
+"""Tests for the instruction model and the packed trace container."""
 
 import pytest
 
 from repro.trace import (
     Instruction,
     OpClass,
-    Trace,
+    PackedTrace,
     branch,
     ialu,
     load,
     load_address_stream,
     store,
-    take,
     value_stream,
 )
 
@@ -66,19 +65,23 @@ def _sample_instructions():
     ]
 
 
+def _sample_trace():
+    return PackedTrace.from_instructions(_sample_instructions())
+
+
 class TestTrace:
     def test_len_and_iter(self):
-        trace = Trace(_sample_instructions())
+        trace = _sample_trace()
         assert len(trace) == 6
         assert len(list(trace)) == 6
 
     def test_indexing(self):
-        trace = Trace(_sample_instructions())
+        trace = _sample_trace()
         assert trace[0].pc == 0x100
         assert trace[-1].value == 21
 
     def test_stats(self):
-        stats = Trace(_sample_instructions()).stats
+        stats = _sample_trace().stats
         assert stats.total == 6
         assert stats.value_producing == 4
         assert stats.loads == 2
@@ -87,25 +90,25 @@ class TestTrace:
         assert stats.static_pcs == 4
 
     def test_stats_cached(self):
-        trace = Trace(_sample_instructions())
+        trace = _sample_trace()
         assert trace.stats is trace.stats
 
     def test_value_producing_filter(self):
-        trace = Trace(_sample_instructions())
+        trace = _sample_trace()
         values = [i.value for i in trace.value_producing()]
         assert values == [10, 20, 11, 21]
 
     def test_loads_filter(self):
-        trace = Trace(_sample_instructions())
+        trace = _sample_trace()
         assert [i.addr for i in trace.loads()] == [0x1000, 0x1008]
 
     def test_per_pc_values(self):
-        histories = Trace(_sample_instructions()).per_pc_values()
+        histories = _sample_trace().per_pc_values()
         assert histories[0x100] == [10, 11]
         assert histories[0x104] == [20, 21]
 
     def test_stats_str(self):
-        text = str(Trace(_sample_instructions()).stats)
+        text = str(_sample_trace().stats)
         assert "6 instructions" in text
 
 
@@ -116,14 +119,3 @@ class TestStreamExtraction:
     def test_load_address_stream(self):
         stream = load_address_stream(_sample_instructions())
         assert stream == [(0x104, 0x1000), (0x104, 0x1008)]
-
-    def test_take_bounds(self):
-        def endless():
-            n = 0
-            while True:
-                yield ialu(0x100, 1, n)
-                n += 1
-
-        trace = take(endless(), 10)
-        assert len(trace) == 10
-        assert trace[9].value == 9

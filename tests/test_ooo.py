@@ -9,7 +9,7 @@ from repro.pipeline import (
     ProcessorConfig,
 )
 from repro.predictors import ConstantPredictor, LastValuePredictor
-from repro.trace import Trace, branch, ialu, load, store
+from repro.trace import branch, ialu, load, store
 from repro.trace.isa import Instruction, OpClass
 
 

@@ -326,7 +326,7 @@ def test_declines(monkeypatch):
 
     monkeypatch.setenv("REPRO_KERNELS", "1")
     packed = cached_trace("gzip", length=400, seed=3, code_copies=1)
-    obj_trace = get("gzip").trace(400)
+    obj_trace = list(get("gzip").trace(400))
     assert run_fast(OutOfOrderCore(), obj_trace) is None
     assert run_fast(OutOfOrderCore(metrics=MetricsRegistry()),
                     packed) is None

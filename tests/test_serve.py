@@ -358,6 +358,14 @@ class TestStdioTransport:
 
 
 class TestLoadgen:
+    def test_stream_pairs_ignore_cache_setting(self, monkeypatch):
+        """``REPRO_CACHE=0`` changes where the trace comes from, never
+        the payloads the load generator sends."""
+        cached = stream_pairs(2, 100, workloads=("gcc",), length=2000)
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        uncached = stream_pairs(2, 100, workloads=("gcc",), length=2000)
+        assert uncached == cached
+
     def test_closed_loop_report_and_verify(self, engine_factory):
         engine = engine_factory()
         host, port = engine.address

@@ -50,7 +50,7 @@ class TestBinaryFormat:
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "t.rpt"
-        save_packed(PackedTrace.from_instructions(get("gcc").trace(100)), path)
+        save_packed(get("gcc").trace(100), path)
         data = bytearray(path.read_bytes())
         assert data[:len(PACKED_MAGIC)] == PACKED_MAGIC
         data[0] ^= 0xFF
@@ -60,7 +60,7 @@ class TestBinaryFormat:
 
     def test_corrupt_payload_detected(self, tmp_path):
         path = tmp_path / "t.rpt"
-        save_packed(PackedTrace.from_instructions(get("gcc").trace(500)), path)
+        save_packed(get("gcc").trace(500), path)
         data = bytearray(path.read_bytes())
         # Flip a byte deep inside the column payloads; either zlib or the
         # CRC must catch it.
@@ -71,7 +71,7 @@ class TestBinaryFormat:
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "t.rpt"
-        save_packed(PackedTrace.from_instructions(get("gcc").trace(500)), path)
+        save_packed(get("gcc").trace(500), path)
         data = path.read_bytes()
         for cut in (len(data) - 1, len(data) // 2, 10):
             path.write_bytes(data[:cut])
@@ -238,7 +238,7 @@ class TestEnvironment:
         monkeypatch.setenv("REPRO_CACHE", "0")
         assert not cache_enabled()
         trace = cached_trace("gcc", 400)
-        assert not isinstance(trace, PackedTrace)  # plain in-memory path
+        assert isinstance(trace, PackedTrace)  # one trace type either way
         assert list(os.scandir(tmp_path)) == []  # nothing written
 
     def test_cached_trace_writes_and_reuses(self, monkeypatch, tmp_path):
