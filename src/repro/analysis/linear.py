@@ -26,7 +26,7 @@ quantifies what that restriction costs, offline:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..trace.isa import Instruction
 from ..wordops import WORD_MASK, wsub

@@ -315,6 +315,12 @@ def _validate_cell(kind: str, params: Dict[str, Any]) -> None:
     if kind not in CELL_KINDS:
         raise SpecError(f"unknown cell kind {kind!r}; choose from "
                         f"{CELL_KINDS}")
+    for key in ("length", "code_copies"):
+        value = params.get(key, 1)
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < 1:
+            raise SpecError(f"{key} must be an integer of at least 1, "
+                            f"got {value!r}")
     if kind == "experiment":
         from ..harness.experiments import EXPERIMENTS
 

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from ..telemetry import get_logger
-from .spec import Cell, CampaignSpec, SpecError
+from .spec import Cell, CampaignSpec
 
 log = get_logger("repro.campaign.store")
 

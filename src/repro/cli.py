@@ -1024,6 +1024,18 @@ def _sample_rate(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for ``--length`` and ``--code-copies``: an integer
+    of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     telemetry = argparse.ArgumentParser(add_help=False)
     group = telemetry.add_argument_group("telemetry")
@@ -1060,7 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[telemetry],
                            help="regenerate a paper table/figure")
     p_run.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    p_run.add_argument("--length", type=int, default=None,
+    p_run.add_argument("--length", type=_positive_int, default=None,
                        help="trace length per benchmark")
     p_run.add_argument("--bench", help="comma-separated benchmark subset")
     p_run.add_argument("--out", help="also save the rendered table here")
@@ -1077,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tgen.add_argument("benchmark",
                         help="suite benchmark, adversarial scenario, or "
                              "imported workload")
-    p_tgen.add_argument("--length", type=int, default=100_000)
+    p_tgen.add_argument("--length", type=_positive_int, default=100_000)
     p_tgen.add_argument("--out", help="save the trace (.trace / .trace.gz)")
     p_timp = trace_sub.add_parser(
         "import", parents=[telemetry],
@@ -1126,7 +1138,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="stride,dfcm,gdiff8,gdiff32",
                         help="comma-separated zoo subset "
                              "(default stride,dfcm,gdiff8,gdiff32)")
-    p_work.add_argument("--length", type=int, default=None,
+    p_work.add_argument("--length", type=_positive_int, default=None,
                         help="trace length (default: the adversarial "
                              "bank's calibrated length)")
     p_work.add_argument("--check", action="store_true",
@@ -1141,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("benchmark",
                         help="suite benchmark, adversarial scenario, or "
                              "imported workload")
-    p_pred.add_argument("--length", type=int, default=100_000)
+    p_pred.add_argument("--length", type=_positive_int, default=100_000)
     p_pred.add_argument("--predictors",
                         default="stride,dfcm,gdiff8,gdiff32")
     p_pred.add_argument("--gated", action="store_true",
@@ -1152,7 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("benchmark",
                        help="suite benchmark, adversarial scenario, or "
                             "imported workload")
-    p_sim.add_argument("--length", type=int, default=50_000)
+    p_sim.add_argument("--length", type=_positive_int, default=50_000)
     p_sim.add_argument("--vp", help="value-prediction scheme "
                                     "(stride|dfcm|sgvq|hgvq|gdiff-sgvq|"
                                     "gdiff-hgvq)")
@@ -1167,7 +1179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_all.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: all cores; "
                             "1 = serial)")
-    p_all.add_argument("--length", type=int, default=None,
+    p_all.add_argument("--length", type=_positive_int, default=None,
                        help="trace length per benchmark")
     p_all.add_argument("--bench", help="comma-separated benchmark subset")
     p_all.add_argument("--out-dir",
@@ -1190,8 +1202,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="entry count, sizes, hit/miss counters")
     p_warm = cache_sub.add_parser("warm", parents=[telemetry],
                                   help="pre-generate benchmark traces")
-    p_warm.add_argument("--length", type=int, default=100_000)
-    p_warm.add_argument("--code-copies", type=int, default=1)
+    p_warm.add_argument("--length", type=_positive_int, default=100_000)
+    p_warm.add_argument("--code-copies", type=_positive_int, default=1)
     p_warm.add_argument("--bench", help="comma-separated benchmark subset")
     cache_sub.add_parser("clear", parents=[telemetry],
                          help="delete every cache entry")

@@ -29,7 +29,7 @@ by write-back, which makes every filler exact — the zero-variation limit).
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..predictors.base import ValuePredictor
 from ..predictors.stride import StridePredictor

@@ -9,7 +9,7 @@ paper's anchor values where the text states them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 
 #: Column-name fragments whose values are plain numbers, not rates.

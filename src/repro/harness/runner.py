@@ -28,7 +28,7 @@ non-kernel loops.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional
 
 from ..core.kernels import run_pairs as _kernel_pairs
 from ..predictors.base import PredictionStats, ValuePredictor

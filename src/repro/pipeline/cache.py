@@ -9,7 +9,7 @@ variation that Section 4 shows disrupts the speculative GVQ, and the
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .config import CacheConfig
 

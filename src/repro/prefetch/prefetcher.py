@@ -22,7 +22,7 @@ argues about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from ..core.gdiff import GDiffPredictor
 from ..pipeline.cache import Cache

@@ -51,7 +51,6 @@ from . import protocol, shard as shard_mod
 from .protocol import (
     OP_STATS,
     STATUS_ERROR,
-    STATUS_OK,
     FrameReader,
     ProtocolError,
     Request,

@@ -33,7 +33,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from ..io import TraceFormatError, load_packed, save_packed
+from ..io import load_packed, save_packed
 from ..io import PACKED_FORMAT_VERSION
 from ..packed import COLUMNS, PackedTrace
 from ..synthetic import WorkloadSpec

@@ -37,7 +37,6 @@ Both formats round-trip every field of
 from __future__ import annotations
 
 import gzip
-import io
 import struct
 import sys
 import zlib

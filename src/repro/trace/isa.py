@@ -1,11 +1,15 @@
 """Minimal dynamic-instruction model used throughout the simulation.
 
-The reproduction is *trace driven*: workload generators emit a stream of
-:class:`Instruction` records that carry everything the predictors and the
-pipeline model need — the static PC, the operation class, architectural
-register operands, the produced value (for value-producing instructions),
-the effective address (for memory operations) and branch outcome
-information.
+The reproduction is *trace driven*: every trace is a stream of dynamic
+instructions, each carrying everything the predictors and the pipeline
+model need — the static PC, the operation class, architectural register
+operands, the produced value (for value-producing instructions), the
+effective address (for memory operations) and branch outcome information.
+:class:`Instruction` is that record as an object: what iterating a
+:class:`~repro.trace.packed.PackedTrace` yields, what the ingest adapters
+yield, and what :func:`ialu`, :func:`load`, :func:`store` and
+:func:`branch` build.  The synthetic generators skip it: they emit column
+rows straight into the packed trace (:mod:`repro.trace.packed`).
 
 The operation classes mirror the categories the paper cares about:
 

@@ -17,7 +17,11 @@ of a program's value stream.  Section 2 names the structures that matter:
 
 Each kernel below generates an endless sequence of instruction *blocks*
 exhibiting one of these structures, with stable static PCs so the
-PC-indexed predictors see coherent local histories.  A workload
+PC-indexed predictors see coherent local histories.  A block is a list of
+column rows (:data:`repro.trace.packed.Row`) built by the row emitters of
+:mod:`repro.trace.packed`, so a trace is born packed: no ``Instruction``
+record is built on the way.  Kernels pack their source-register tuples
+once, when they claim their registers.  A workload
 (:mod:`repro.trace.synthetic`) interleaves weighted kernels into a full
 instruction trace.
 """
@@ -28,8 +32,9 @@ import random
 from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence
 
-from ..wordops import WORD_MASK, wadd, wrap
-from .isa import Instruction, OpClass, branch, ialu, load, store
+from ..wordops import wadd, wrap
+from .packed import (Row, branch_row, ialu_row, load_row, nop_row,
+                     pack_srcs, store_row)
 
 
 class RegAllocator:
@@ -109,8 +114,8 @@ class Kernel(ABC):
         """Claim the architectural registers the kernel needs."""
 
     @abstractmethod
-    def block(self, rng: random.Random) -> List[Instruction]:
-        """Emit the next dynamic iteration of this kernel."""
+    def block(self, rng: random.Random) -> List[Row]:
+        """Emit the next dynamic iteration of this kernel, as rows."""
 
 
 class CounterKernel(Kernel):
@@ -130,10 +135,11 @@ class CounterKernel(Kernel):
 
     def _allocate_regs(self, regs: RegAllocator) -> None:
         self.reg = regs.alloc()
+        self._srcs = pack_srcs((self.reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
+    def block(self, rng: random.Random) -> List[Row]:
         self.value = wadd(self.value, self.stride)
-        return [ialu(self.pc(0), self.reg, self.value, srcs=(self.reg,))]
+        return [ialu_row(self.pc(0), self.reg, self.value, self._srcs)]
 
 
 class CounterClusterKernel(Kernel):
@@ -163,16 +169,15 @@ class CounterClusterKernel(Kernel):
 
     def _allocate_regs(self, regs: RegAllocator) -> None:
         self.regs_ = [regs.alloc() for _ in range(self.count)]
+        self._srcs = [pack_srcs((reg,)) for reg in self.regs_]
 
-    def block(self, rng: random.Random) -> List[Instruction]:
-        insns = []
+    def block(self, rng: random.Random) -> List[Row]:
+        rows = []
         for i in range(self.count):
             self.values[i] = wadd(self.values[i], self.stride)
-            insns.append(
-                ialu(self.pc(i), self.regs_[i], self.values[i],
-                     srcs=(self.regs_[i],))
-            )
-        return insns
+            rows.append(ialu_row(self.pc(i), self.regs_[i], self.values[i],
+                                 self._srcs[i]))
+        return rows
 
 
 class ConstantKernel(Kernel):
@@ -187,8 +192,8 @@ class ConstantKernel(Kernel):
     def _allocate_regs(self, regs: RegAllocator) -> None:
         self.reg = regs.alloc()
 
-    def block(self, rng: random.Random) -> List[Instruction]:
-        return [ialu(self.pc(0), self.reg, self.value)]
+    def block(self, rng: random.Random) -> List[Row]:
+        return [ialu_row(self.pc(0), self.reg, self.value)]
 
 
 class RandomKernel(Kernel):
@@ -208,19 +213,14 @@ class RandomKernel(Kernel):
 
     def _allocate_regs(self, regs: RegAllocator) -> None:
         self.reg = regs.alloc()
+        self._srcs = pack_srcs((self.reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
-        insns = [ialu(self.pc(0), self.reg, rng.randrange(self.span))]
+    def block(self, rng: random.Random) -> List[Row]:
+        rows = [ialu_row(self.pc(0), self.reg, rng.randrange(self.span))]
         for i in range(self.chain):
-            insns.append(
-                ialu(
-                    self.pc(1 + i),
-                    self.reg,
-                    rng.randrange(self.span),
-                    srcs=(self.reg,),
-                )
-            )
-        return insns
+            rows.append(ialu_row(self.pc(1 + i), self.reg,
+                                 rng.randrange(self.span), self._srcs))
+        return rows
 
 
 class ChainKernel(Kernel):
@@ -267,32 +267,30 @@ class ChainKernel(Kernel):
         self.def_reg = regs.alloc()
         self.use_reg = regs.alloc()
         self.addr_reg = regs.alloc()
+        self._def_srcs = pack_srcs((self.addr_reg,))
+        self._use_srcs = pack_srcs((self.def_reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
+    def block(self, rng: random.Random) -> List[Row]:
         addr = self.addr_base + (self._cursor % self.footprint)
         self._cursor += 8
         value = rng.getrandbits(32)
-        insns = [
-            load(self.pc(0), self.def_reg, value, addr, srcs=(self.addr_reg,))
-        ]
+        rows = [load_row(self.pc(0), self.def_reg, value, addr,
+                         self._def_srcs)]
         slot = 1
         for _ in range(self.spread):
-            insns.append(Instruction(pc=self.pc(slot), op=OpClass.NOP))
+            rows.append(nop_row(self.pc(slot)))
             slot += 1
         acc = value
         for i in range(self.uses):
             acc = wadd(acc, self.offsets[i % len(self.offsets)])
-            insns.append(
-                ialu(self.pc(slot), self.use_reg, acc, srcs=(self.def_reg,))
-            )
+            rows.append(ialu_row(self.pc(slot), self.use_reg, acc,
+                                 self._use_srcs))
             slot += 1
             if i + 1 < self.uses:
                 for _ in range(max(2, self.spread // 8)):
-                    insns.append(
-                        Instruction(pc=self.pc(slot), op=OpClass.NOP)
-                    )
+                    rows.append(nop_row(self.pc(slot)))
                     slot += 1
-        return insns
+        return rows
 
 
 class SpillFillKernel(Kernel):
@@ -331,49 +329,45 @@ class SpillFillKernel(Kernel):
         self.val_reg = regs.alloc()
         self.tmp_reg = regs.alloc()
         self.sp_reg = regs.alloc()
+        self._sp_srcs = pack_srcs((self.sp_reg,))
+        self._spill_srcs = pack_srcs((self.val_reg, self.sp_reg))
+        self._use_srcs = pack_srcs((self.val_reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
+    def block(self, rng: random.Random) -> List[Row]:
         src_addr = self.addr_base + (self._cursor % self.footprint)
         self._cursor += 8
         stack_addr = self.addr_base + self.footprint + (self._cursor % 512)
         value = rng.getrandbits(32)
-        insns = [
+        rows = [
             # The correlated load: a hard-to-predict value.
-            load(self.pc(0), self.val_reg, value, src_addr, srcs=(self.sp_reg,)),
+            load_row(self.pc(0), self.val_reg, value, src_addr,
+                     self._sp_srcs),
             # Spill it.
-            store(self.pc(1), stack_addr, srcs=(self.val_reg, self.sp_reg)),
+            store_row(self.pc(1), stack_addr, self._spill_srcs),
         ]
         # Unrelated work between spill and fill.
         slot = 2
         for _ in range(self.gap):
-            insns.append(ialu(self.pc(slot), self.tmp_reg,
-                              rng.getrandbits(24)))
+            rows.append(ialu_row(self.pc(slot), self.tmp_reg,
+                                 rng.getrandbits(24)))
             slot += 1
         for _ in range(self.spread):
-            insns.append(Instruction(pc=self.pc(slot), op=OpClass.NOP))
+            rows.append(nop_row(self.pc(slot)))
             slot += 1
         # The fill: value identical (modulo fill_offset) to the correlated
         # load's — the instruction the paper's Figure 1 shows is hopeless
         # for local predictors.
         fill_value = wadd(value, self.fill_offset)
-        insns.append(
-            load(
-                self.pc(slot),
-                self.val_reg,
-                fill_value,
-                stack_addr,
-                srcs=(self.sp_reg,),
-            )
-        )
+        rows.append(load_row(self.pc(slot), self.val_reg, fill_value,
+                             stack_addr, self._sp_srcs))
         slot += 1
         acc = fill_value
         for u in range(self.uses):
             acc = wadd(acc, 8 * (u + 1))
-            insns.append(
-                ialu(self.pc(slot), self.tmp_reg, acc, srcs=(self.val_reg,))
-            )
+            rows.append(ialu_row(self.pc(slot), self.tmp_reg, acc,
+                                 self._use_srcs))
             slot += 1
-        return insns
+        return rows
 
 
 class PointerChaseKernel(Kernel):
@@ -432,8 +426,9 @@ class PointerChaseKernel(Kernel):
     def _allocate_regs(self, regs: RegAllocator) -> None:
         self.next_reg = regs.alloc()
         self.payload_reg = regs.alloc()
+        self._srcs = pack_srcs((self.next_reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
+    def block(self, rng: random.Random) -> List[Row]:
         node_addr = self.addr_base + self._node
         if rng.random() < self.jump_prob:
             next_off = rng.randrange(self.footprint // self.node_stride)
@@ -441,19 +436,15 @@ class PointerChaseKernel(Kernel):
         else:
             next_node = (self._node + self.node_stride) % self.footprint
         next_ptr = self.addr_base + next_node
-        insns = [
-            load(self.pc(0), self.next_reg, next_ptr, node_addr,
-                 srcs=(self.next_reg,)),
-        ]
+        rows = [load_row(self.pc(0), self.next_reg, next_ptr, node_addr,
+                         self._srcs)]
         for f in range(self.fields):
             payload = wadd(next_ptr, self.payload_delta * (f + 1))
-            insns.append(
-                load(self.pc(1 + f), self.payload_reg, payload,
-                     node_addr + self.field_offset * (f + 1),
-                     srcs=(self.next_reg,))
-            )
+            rows.append(load_row(self.pc(1 + f), self.payload_reg, payload,
+                                 node_addr + self.field_offset * (f + 1),
+                                 self._srcs))
         self._node = next_node
-        return insns
+        return rows
 
 
 class PeriodicKernel(Kernel):
@@ -477,11 +468,12 @@ class PeriodicKernel(Kernel):
 
     def _allocate_regs(self, regs: RegAllocator) -> None:
         self.reg = regs.alloc()
+        self._srcs = pack_srcs((self.reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
+    def block(self, rng: random.Random) -> List[Row]:
         value = self.values[self._phase]
         self._phase = (self._phase + 1) % len(self.values)
-        return [ialu(self.pc(0), self.reg, value, srcs=(self.reg,))]
+        return [ialu_row(self.pc(0), self.reg, value, self._srcs)]
 
 
 class SparseChainKernel(Kernel):
@@ -507,24 +499,22 @@ class SparseChainKernel(Kernel):
     def _allocate_regs(self, regs: RegAllocator) -> None:
         self.chain_reg = regs.alloc()
         self.noise_reg = regs.alloc()
+        self._srcs = pack_srcs((self.chain_reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
-        insns = [ialu(self.pc(0), self.chain_reg, rng.getrandbits(28))]
-        value = insns[0].value
+    def block(self, rng: random.Random) -> List[Row]:
+        value = rng.getrandbits(28)
+        rows = [ialu_row(self.pc(0), self.chain_reg, value)]
         slot = 1
         for link in range(self.links):
             for _ in range(self.spacing):
-                insns.append(
-                    ialu(self.pc(slot), self.noise_reg, rng.getrandbits(28))
-                )
+                rows.append(ialu_row(self.pc(slot), self.noise_reg,
+                                     rng.getrandbits(28)))
                 slot += 1
             value = wadd(value, self.link_offset * (link + 1))
-            insns.append(
-                ialu(self.pc(slot), self.chain_reg, value,
-                     srcs=(self.chain_reg,))
-            )
+            rows.append(ialu_row(self.pc(slot), self.chain_reg, value,
+                                 self._srcs))
             slot += 1
-        return insns
+        return rows
 
 
 class ParallelChainsKernel(Kernel):
@@ -560,24 +550,23 @@ class ParallelChainsKernel(Kernel):
     def _allocate_regs(self, regs: RegAllocator) -> None:
         self.seed_reg = regs.alloc()
         self.use_reg = regs.alloc()
+        self._srcs = pack_srcs((self.seed_reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
-        insns = []
+    def block(self, rng: random.Random) -> List[Row]:
+        rows = []
         values = []
         for c in range(self.width):
             value = rng.getrandbits(30)
             values.append(value)
-            insns.append(ialu(self.pc(c), self.seed_reg, value))
+            rows.append(ialu_row(self.pc(c), self.seed_reg, value))
         slot = self.width
         for r in range(self.rounds):
             for c in range(self.width):
                 values[c] = wadd(values[c], self.offsets[r][c])
-                insns.append(
-                    ialu(self.pc(slot), self.use_reg, values[c],
-                         srcs=(self.seed_reg,))
-                )
+                rows.append(ialu_row(self.pc(slot), self.use_reg, values[c],
+                                     self._srcs))
                 slot += 1
-        return insns
+        return rows
 
 
 class ArrayWalkKernel(Kernel):
@@ -615,8 +604,9 @@ class ArrayWalkKernel(Kernel):
     def _allocate_regs(self, regs: RegAllocator) -> None:
         self.reg = regs.alloc()
         self.idx_reg = regs.alloc()
+        self._srcs = pack_srcs((self.idx_reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
+    def block(self, rng: random.Random) -> List[Row]:
         addr = self.addr_base + self._offset
         self._offset = (self._offset + self.elem_stride) % self.footprint
         if self.value_mode == "stride":
@@ -626,7 +616,7 @@ class ArrayWalkKernel(Kernel):
             value = wrap(addr)
         else:
             value = rng.getrandbits(32)
-        return [load(self.pc(0), self.reg, value, addr, srcs=(self.idx_reg,))]
+        return [load_row(self.pc(0), self.reg, value, addr, self._srcs)]
 
 
 class RetraverseKernel(Kernel):
@@ -656,8 +646,9 @@ class RetraverseKernel(Kernel):
 
     def _allocate_regs(self, regs: RegAllocator) -> None:
         self.reg = regs.alloc()
+        self._srcs = pack_srcs((self.reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
+    def block(self, rng: random.Random) -> List[Row]:
         if self._order is None:
             self._order = list(range(self.sites))
             rng.shuffle(self._order)
@@ -671,8 +662,8 @@ class RetraverseKernel(Kernel):
         site = self._order[self._pos]
         self._pos += 1
         addr = self.addr_base + site * self.site_stride
-        return [load(self.pc(0), self.reg, rng.getrandbits(32), addr,
-                     srcs=(self.reg,))]
+        return [load_row(self.pc(0), self.reg, rng.getrandbits(32), addr,
+                         self._srcs)]
 
 
 class HashProbeKernel(Kernel):
@@ -724,8 +715,9 @@ class HashProbeKernel(Kernel):
     def _allocate_regs(self, regs: RegAllocator) -> None:
         self.bucket_reg = regs.alloc()
         self.entry_reg = regs.alloc()
+        self._srcs = pack_srcs((self.bucket_reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
+    def block(self, rng: random.Random) -> List[Row]:
         if self._order is None:
             self._order = list(range(self.buckets))
             rng.shuffle(self._order)
@@ -741,10 +733,10 @@ class HashProbeKernel(Kernel):
         self._pos += 1
         key = rng.getrandbits(30)
         return [
-            load(self.pc(0), self.bucket_reg, key, bucket_addr,
-                 srcs=(self.bucket_reg,)),
-            load(self.pc(1), self.entry_reg, wadd(key, self.entry_delta),
-                 bucket_addr + self.entry_offset, srcs=(self.bucket_reg,)),
+            load_row(self.pc(0), self.bucket_reg, key, bucket_addr,
+                     self._srcs),
+            load_row(self.pc(1), self.entry_reg, wadd(key, self.entry_delta),
+                     bucket_addr + self.entry_offset, self._srcs),
         ]
 
 
@@ -783,20 +775,19 @@ class PadKernel(Kernel):
         # prediction — together with it.  Alternate instructions are left
         # dependency-free for instruction-level parallelism.
         self.src_reg = regs.last()
+        self._srcs = pack_srcs((self.src_reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
-        insns = []
+    def block(self, rng: random.Random) -> List[Row]:
+        rows = []
         for i in range(self.count):
-            srcs = (self.src_reg,) if i % 2 == 0 else ()
+            srcs = self._srcs if i % 2 == 0 else 0
             if self.store_every and (i + 1) % self.store_every == 0:
                 addr = self.addr_base + (self._cursor % self.buffer_bytes)
                 self._cursor += 8
-                insns.append(store(self.pc(i), addr, srcs=srcs))
+                rows.append(store_row(self.pc(i), addr, srcs))
             else:
-                insns.append(
-                    Instruction(pc=self.pc(i), op=OpClass.NOP, srcs=srcs)
-                )
-        return insns
+                rows.append(nop_row(self.pc(i), srcs))
+        return rows
 
 
 class BranchyKernel(Kernel):
@@ -815,8 +806,9 @@ class BranchyKernel(Kernel):
 
     def _allocate_regs(self, regs: RegAllocator) -> None:
         self.cond_reg = regs.alloc()
+        self._srcs = pack_srcs((self.cond_reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
+    def block(self, rng: random.Random) -> List[Row]:
         taken = rng.random() < self.taken_prob
         target = self.pc(16 + rng.randrange(self.targets))
-        return [branch(self.pc(0), taken, target, srcs=(self.cond_reg,))]
+        return [branch_row(self.pc(0), taken, target, self._srcs)]

@@ -22,6 +22,15 @@ Field encoding (one entry per dynamic instruction):
   to 10 sources of up to 64 architectural registers — far beyond the
   MIPS-like ISA modelled here).
 
+Traces are born as *column rows*: one tuple per instruction holding
+its nine column entries in :data:`COLUMNS` order.  The synthetic
+generators emit rows directly (through :func:`ialu_row` and its
+siblings, which precompute the flags byte), and :meth:`PackedTrace.from_rows`
+transposes them into the columns.  That packer is the one place a
+column's range is checked; :func:`pack_srcs` checks source registers.
+:meth:`PackedTrace.from_instructions` maps ``Instruction`` records to
+rows for the same packer.
+
 It is the one trace container: workload generators, the trace cache,
 the text and binary loaders and imported recordings all hand out a
 ``PackedTrace``.  Besides the column accessors it offers what the object
@@ -42,6 +51,7 @@ by value rather than by (process-local) buffer reference.
 from __future__ import annotations
 
 from array import array
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .isa import Instruction, OpClass
@@ -56,7 +66,6 @@ FLAG_TAKEN_TRUE = 0x10
 FLAG_TARGET = 0x20
 FLAG_PRODUCES = 0x40
 
-_WORD_LIMIT = 1 << 64
 _MAX_SRCS = 10
 _SRC_BITS = 6
 _SRC_MASK = (1 << _SRC_BITS) - 1
@@ -77,13 +86,6 @@ COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("targets", "Q"),
     ("latency", "B"),
 )
-
-
-def _check_word(value: int, what: str) -> int:
-    if not 0 <= value < _WORD_LIMIT:
-        raise ValueError(f"cannot pack {what}={value!r}: "
-                         "not an unsigned 64-bit machine word")
-    return value
 
 
 def pack_srcs(srcs: Tuple[int, ...]) -> int:
@@ -113,12 +115,113 @@ def unpack_srcs(word: int) -> Tuple[int, ...]:
     return tuple(regs)
 
 
+#: One instruction's column entries, in :data:`COLUMNS` order: ``(pc, op,
+#: flags, dest, srcs, value, addr, target, latency)``, with ``srcs`` a
+#: :func:`pack_srcs` word and absent fields 0.
+Row = Tuple[int, int, int, int, int, int, int, int, int]
+
+#: Rows :meth:`PackedTrace.from_rows` transposes at a time, so a streamed
+#: trace is never held whole as tuples.
+_ROW_CHUNK = 1 << 16
+
+_IALU = int(OpClass.IALU)
+_LOAD = int(OpClass.LOAD)
+_STORE = int(OpClass.STORE)
+_BRANCH = int(OpClass.BRANCH)
+_NOP = int(OpClass.NOP)
+_IALU_FLAGS = FLAG_DEST | FLAG_VALUE | FLAG_PRODUCES
+_LOAD_FLAGS = FLAG_DEST | FLAG_VALUE | FLAG_ADDR | FLAG_PRODUCES
+_TAKEN_FLAGS = FLAG_TAKEN | FLAG_TARGET | FLAG_TAKEN_TRUE
+_NOT_TAKEN_FLAGS = FLAG_TAKEN | FLAG_TARGET
+
+
+# Row emitters: the column rows of :func:`repro.trace.isa.ialu` and its
+# siblings.  *srcs* is a :func:`pack_srcs` word, packed once by the caller.
+def ialu_row(pc: int, dest: int, value: int, srcs: int = 0) -> Row:
+    return (pc, _IALU, _IALU_FLAGS, dest, srcs, value, 0, 0, 0)
+
+
+def load_row(pc: int, dest: int, value: int, addr: int,
+             srcs: int = 0) -> Row:
+    return (pc, _LOAD, _LOAD_FLAGS, dest, srcs, value, addr, 0, 0)
+
+
+def store_row(pc: int, addr: int, srcs: int = 0) -> Row:
+    return (pc, _STORE, FLAG_ADDR, 0, srcs, 0, addr, 0, 0)
+
+
+def branch_row(pc: int, taken: bool, target: int, srcs: int = 0) -> Row:
+    return (pc, _BRANCH, _TAKEN_FLAGS if taken else _NOT_TAKEN_FLAGS,
+            0, srcs, 0, 0, target, 0)
+
+
+def nop_row(pc: int, srcs: int = 0) -> Row:
+    return (pc, _NOP, 0, 0, srcs, 0, 0, 0, 0)
+
+
+def instruction_row(insn: Instruction) -> Row:
+    """The column row of one ``Instruction`` (its flags derived here)."""
+    flag = 0
+    dest = insn.dest
+    if dest is not None:
+        flag |= FLAG_DEST
+    else:
+        dest = 0
+    value = insn.value
+    if value is not None:
+        flag |= FLAG_VALUE
+    else:
+        value = 0
+    addr = insn.addr
+    if addr is not None:
+        flag |= FLAG_ADDR
+    else:
+        addr = 0
+    if insn.taken is not None:
+        flag |= FLAG_TAKEN
+        if insn.taken:
+            flag |= FLAG_TAKEN_TRUE
+    target = insn.target
+    if target is not None:
+        flag |= FLAG_TARGET
+    else:
+        target = 0
+    op = insn.op
+    if (flag & FLAG_VALUE and flag & FLAG_DEST
+            and (op is OpClass.IALU or op is OpClass.LOAD)):
+        flag |= FLAG_PRODUCES
+    return (insn.pc, int(op), flag, dest, pack_srcs(insn.srcs), value,
+            addr, target, insn.latency_class)
+
+
+def instructions(rows: Iterable[Row]) -> Iterator[Instruction]:
+    """The ``Instruction`` view of a row stream (the inverse of
+    :func:`instruction_row`); each distinct source word unpacks once."""
+    ops = _OPS
+    regs: Dict[int, Tuple[int, ...]] = {}
+    for pc, op, flag, dest, srcs, value, addr, target, latency in rows:
+        src_regs = regs.get(srcs)
+        if src_regs is None:
+            src_regs = regs[srcs] = unpack_srcs(srcs)
+        yield Instruction(
+            pc, ops[op],
+            dest if flag & FLAG_DEST else None,
+            src_regs,
+            value if flag & FLAG_VALUE else None,
+            addr if flag & FLAG_ADDR else None,
+            bool(flag & FLAG_TAKEN_TRUE) if flag & FLAG_TAKEN else None,
+            target if flag & FLAG_TARGET else None,
+            latency,
+        )
+
+
 class PackedTrace:
     """A materialised trace in packed structure-of-arrays form.
 
-    Build one with :meth:`from_instructions` (or load one from the binary
-    cache via :func:`repro.trace.io.load_packed`).  Slicing with unit step
-    returns a zero-copy view sharing the parent's columns.
+    Build one with :meth:`from_rows` or :meth:`from_instructions` (or
+    load one from the binary cache via :func:`repro.trace.io.load_packed`).
+    Slicing with unit step returns a zero-copy view sharing the parent's
+    columns.
     """
 
     __slots__ = ("name", "_cols", "_start", "_stop", "_stats",
@@ -140,67 +243,37 @@ class PackedTrace:
 
     # -- construction ----------------------------------------------------
     @classmethod
+    def from_rows(cls, rows: Iterable[Row],
+                  name: str = "trace") -> "PackedTrace":
+        """Pack a stream of column rows (consumed once, in bounded chunks).
+
+        The one place a column's range is checked: a pc, value, addr or
+        target that is not an unsigned 64-bit word, or a dest, op, flags
+        or latency entry above 0xFF, raises ``ValueError``.
+        """
+        cols = [array(tc) for _col, tc in COLUMNS]
+        rows = iter(rows)
+        while True:
+            chunk = list(islice(rows, _ROW_CHUNK))
+            if not chunk:
+                break
+            for column, (col, tc), data in zip(cols, COLUMNS, zip(*chunk)):
+                try:
+                    column.extend(array(tc, data))
+                except OverflowError:
+                    limit = 1 << (8 * column.itemsize)
+                    bad = next(v for v in data if not 0 <= v < limit)
+                    raise ValueError(
+                        f"cannot pack {col} entry {bad!r}: not an unsigned "
+                        f"{8 * column.itemsize}-bit field") from None
+        return cls({col: column for (col, _tc), column in zip(COLUMNS, cols)},
+                   name=name)
+
+    @classmethod
     def from_instructions(cls, instructions: Iterable[Instruction],
                           name: str = "trace") -> "PackedTrace":
         """Pack an instruction stream (consumed once, never materialised)."""
-        cols = {col: array(tc) for col, tc in COLUMNS}
-        pcs = cols["pcs"].append
-        ops = cols["ops"].append
-        flags = cols["flags"].append
-        dests = cols["dests"].append
-        srcs = cols["srcs"].append
-        values = cols["values"].append
-        addrs = cols["addrs"].append
-        targets = cols["targets"].append
-        latency = cols["latency"].append
-        for insn in instructions:
-            flag = 0
-            dest = insn.dest
-            if dest is not None:
-                if not 0 <= dest <= 0xFF:
-                    raise ValueError(f"cannot pack dest register {dest!r}")
-                flag |= FLAG_DEST
-            else:
-                dest = 0
-            value = insn.value
-            if value is not None:
-                flag |= FLAG_VALUE
-                _check_word(value, "value")
-            else:
-                value = 0
-            addr = insn.addr
-            if addr is not None:
-                flag |= FLAG_ADDR
-                _check_word(addr, "addr")
-            else:
-                addr = 0
-            if insn.taken is not None:
-                flag |= FLAG_TAKEN
-                if insn.taken:
-                    flag |= FLAG_TAKEN_TRUE
-            target = insn.target
-            if target is not None:
-                flag |= FLAG_TARGET
-                _check_word(target, "target")
-            else:
-                target = 0
-            op = insn.op
-            if (flag & FLAG_VALUE and flag & FLAG_DEST
-                    and (op is OpClass.IALU or op is OpClass.LOAD)):
-                flag |= FLAG_PRODUCES
-            if not 0 <= insn.latency_class <= 0xFF:
-                raise ValueError(
-                    f"cannot pack latency_class {insn.latency_class!r}")
-            pcs(_check_word(insn.pc, "pc"))
-            ops(int(op))
-            flags(flag)
-            dests(dest)
-            srcs(pack_srcs(insn.srcs))
-            values(value)
-            addrs(addr)
-            targets(target)
-            latency(insn.latency_class)
-        return cls(cols, name=name)
+        return cls.from_rows(map(instruction_row, instructions), name=name)
 
     # -- container protocol ----------------------------------------------
     def __len__(self) -> int:
@@ -246,25 +319,9 @@ class PackedTrace:
 
     def __iter__(self) -> Iterator[Instruction]:
         # One zip over the view's columns: no per-index bounds check or
-        # column lookups, and each distinct source word unpacks once.
-        ops = _OPS
-        regs: Dict[int, Tuple[int, ...]] = {}
+        # column lookups.
         view = self.columns()
-        for pc, op, flag, dest, srcs, value, addr, target, latency in zip(
-                *(view[col] for col, _tc in COLUMNS)):
-            src_regs = regs.get(srcs)
-            if src_regs is None:
-                src_regs = regs[srcs] = unpack_srcs(srcs)
-            yield Instruction(
-                pc, ops[op],
-                dest if flag & FLAG_DEST else None,
-                src_regs,
-                value if flag & FLAG_VALUE else None,
-                addr if flag & FLAG_ADDR else None,
-                bool(flag & FLAG_TAKEN_TRUE) if flag & FLAG_TAKEN else None,
-                target if flag & FLAG_TARGET else None,
-                latency,
-            )
+        return instructions(zip(*(view[col] for col, _tc in COLUMNS)))
 
     # -- summaries and filtered views ------------------------------------
     @property

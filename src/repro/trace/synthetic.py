@@ -22,19 +22,26 @@ it in exactly the ways the paper discusses:
   flow real hot loops have; hammocks (``skip_prob``) and
   :class:`~repro.trace.kernels.BranchyKernel` slots add the irregular part.
 
+The composer weaves column rows (:data:`repro.trace.packed.Row`), never
+``Instruction`` records: :meth:`WorkloadSpec.rows` is the stream,
+:meth:`WorkloadSpec.trace` packs a prefix of it with
+:meth:`PackedTrace.from_rows <repro.trace.packed.PackedTrace.from_rows>`,
+and :meth:`WorkloadSpec.generate` is the ``Instruction`` view of the same
+rows for code that wants objects.
+
 The per-benchmark specs live in :mod:`repro.trace.workloads`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, List, Optional, Sequence
 
-from .isa import Instruction, branch
+from .isa import Instruction
 from .kernels import Kernel, RegAllocator
-from .packed import PackedTrace
+from .packed import PackedTrace, Row, branch_row, instructions
 
 #: Where synthetic code regions start.  Kernels are packed contiguously
 #: (each gets room for its PC copies, minimum 4 KiB) the way a compiler
@@ -92,9 +99,10 @@ class WorkloadSpec:
     #: Optional short description used in reports.
     description: str = ""
 
-    def generate(self, seed: Optional[int] = None,
-                 code_copies: int = 1) -> Iterator[Instruction]:
-        """Yield the benchmark's dynamic instruction stream (endless).
+    def rows(self, seed: Optional[int] = None,
+             code_copies: int = 1) -> Iterator[Row]:
+        """Yield the benchmark's dynamic instruction stream as column
+        rows (endless).
 
         Args:
             seed: RNG seed override.
@@ -144,18 +152,22 @@ class WorkloadSpec:
                         if slot.skip_prob:
                             skipped = rng.random() < slot.skip_prob
                             guard_pc = hammock_pcs[hammock_index[id(kernel)]]
-                            yield branch(guard_pc, skipped, guard_pc + 64)
+                            yield branch_row(guard_pc, skipped, guard_pc + 64)
                             if skipped:
                                 continue
                         for _ in range(slot.repeat):
-                            for insn in kernel.block(rng):
-                                yield insn
+                            yield from kernel.block(rng)
                             kernel.advance_copy()
                     # Loop-back branch: taken until the trip count expires.
-                    yield branch(
+                    yield branch_row(
                         loop_pc, iteration < group.iterations - 1,
                         CODE_BASE,
                     )
+
+    def generate(self, seed: Optional[int] = None,
+                 code_copies: int = 1) -> Iterator[Instruction]:
+        """The stream of :meth:`rows` as ``Instruction`` records (endless)."""
+        return instructions(self.rows(seed=seed, code_copies=code_copies))
 
     def trace(self, length: int, seed: Optional[int] = None,
               code_copies: int = 1) -> PackedTrace:
@@ -164,9 +176,8 @@ class WorkloadSpec:
         The trace cache fills its entries through this method, so a
         workload's trace is packed in one place.
         """
-        stream = self.generate(seed=seed, code_copies=code_copies)
-        return PackedTrace.from_instructions(islice(stream, length),
-                                             name=self.name)
+        rows = self.rows(seed=seed, code_copies=code_copies)
+        return PackedTrace.from_rows(islice(rows, length), name=self.name)
 
 
 def interleave(specs: Sequence[WorkloadSpec], length: int,
@@ -176,15 +187,12 @@ def interleave(specs: Sequence[WorkloadSpec], length: int,
     Not used by the paper's experiments but handy for stress testing
     predictors against context switches.
     """
-    streams = [spec.generate(seed=seed + i) for i, spec in enumerate(specs)]
-    instructions: List[Instruction] = []
-    i = 0
-    while len(instructions) < length:
-        stream = streams[i % len(streams)]
-        for _ in range(64):
-            instructions.append(next(stream))
-            if len(instructions) >= length:
-                break
-        i += 1
-    return PackedTrace.from_instructions(
-        instructions, name="+".join(s.name for s in specs))
+    streams = [spec.rows(seed=seed + i) for i, spec in enumerate(specs)]
+
+    def woven() -> Iterator[Row]:
+        while True:
+            for stream in streams:
+                yield from islice(stream, 64)
+
+    return PackedTrace.from_rows(islice(woven(), length),
+                                 name="+".join(s.name for s in specs))

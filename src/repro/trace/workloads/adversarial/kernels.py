@@ -12,8 +12,8 @@ import random
 from typing import List
 
 from ....wordops import wadd, wrap
-from ...isa import Instruction, ialu
 from ...kernels import Kernel
+from ...packed import Row, ialu_row, pack_srcs
 
 
 class DriftingCounterKernel(Kernel):
@@ -41,13 +41,14 @@ class DriftingCounterKernel(Kernel):
 
     def _allocate_regs(self, regs) -> None:
         self.reg = regs.alloc()
+        self._srcs = pack_srcs((self.reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
+    def block(self, rng: random.Random) -> List[Row]:
         if self._emitted % self.generation == 0:
             self.stride = rng.randrange(1, self.span)
         self._emitted += 1
         self.value = wadd(self.value, self.stride)
-        return [ialu(self.pc(0), self.reg, self.value, srcs=(self.reg,))]
+        return [ialu_row(self.pc(0), self.reg, self.value, self._srcs)]
 
 
 class DriftingPeriodicKernel(Kernel):
@@ -74,7 +75,7 @@ class DriftingPeriodicKernel(Kernel):
     def _allocate_regs(self, regs) -> None:
         self.reg = regs.alloc()
 
-    def block(self, rng: random.Random) -> List[Instruction]:
+    def block(self, rng: random.Random) -> List[Row]:
         if not self.values:
             self.values = [rng.randrange(self.span)
                            for _ in range(self.period)]
@@ -82,7 +83,7 @@ class DriftingPeriodicKernel(Kernel):
             self.values[rng.randrange(self.period)] = rng.randrange(self.span)
         value = self.values[self._emitted % self.period]
         self._emitted += 1
-        return [ialu(self.pc(0), self.reg, value)]
+        return [ialu_row(self.pc(0), self.reg, value)]
 
 
 class EntropyRampKernel(Kernel):
@@ -120,11 +121,12 @@ class EntropyRampKernel(Kernel):
 
     def _allocate_regs(self, regs) -> None:
         self.reg = regs.alloc()
+        self._srcs = pack_srcs((self.reg,))
 
-    def block(self, rng: random.Random) -> List[Instruction]:
+    def block(self, rng: random.Random) -> List[Row]:
         bits = self._bits()
         self._emitted += 1
         self.base = wadd(self.base, self.stride)
         noise = rng.getrandbits(bits) if bits else 0
-        return [ialu(self.pc(0), self.reg, wadd(self.base, noise),
-                     srcs=(self.reg,))]
+        return [ialu_row(self.pc(0), self.reg, wadd(self.base, noise),
+                         self._srcs)]

@@ -14,13 +14,12 @@ exact-science bands, not vibes).  ``repro workloads --check`` and
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ...isa import Instruction
 from ...kernels import (ArrayWalkKernel, ChainKernel, ConstantKernel,
                         CounterClusterKernel, CounterKernel, PeriodicKernel,
                         PointerChaseKernel, RandomKernel, SpillFillKernel)
+from ...packed import FLAG_TARGET, Row
 from ...synthetic import KernelSlot, WorkloadSpec
 from ..common import loop, small_loop
 from .kernels import (DriftingCounterKernel, DriftingPeriodicKernel,
@@ -35,12 +34,11 @@ EXPECT_LENGTH = 24_000
 _PART_PC_SPACING = 0x0100_0000
 
 
-def _shift_pc(insn: Instruction, offset: int) -> Instruction:
-    if offset == 0:
-        return insn
-    target = insn.target
-    return replace(insn, pc=insn.pc + offset,
-                   target=None if target is None else target + offset)
+def _shift_pc(row: Row, offset: int) -> Row:
+    pc, op, flag, dest, srcs, value, addr, target, latency = row
+    if flag & FLAG_TARGET:
+        target += offset
+    return (pc + offset, op, flag, dest, srcs, value, addr, target, latency)
 
 
 class ComposedSpec(WorkloadSpec):
@@ -59,20 +57,20 @@ class ComposedSpec(WorkloadSpec):
         self.shift_pcs = shift_pcs
 
     def _streams(self, seed: Optional[int],
-                 code_copies: int) -> List[Iterator[Instruction]]:
+                 code_copies: int) -> List[Iterator[Row]]:
         eff = self.seed if seed is None else seed
         streams = []
         for index, part in enumerate(self.parts):
-            stream = part.generate(seed=eff * 1000003 + index,
-                                   code_copies=code_copies)
+            stream = part.rows(seed=eff * 1000003 + index,
+                               code_copies=code_copies)
             if self.shift_pcs and index:
                 offset = index * _PART_PC_SPACING
-                stream = (_shift_pc(insn, offset) for insn in stream)
+                stream = (_shift_pc(row, offset) for row in stream)
             streams.append(stream)
         return streams
 
-    def generate(self, seed: Optional[int] = None,
-                 code_copies: int = 1) -> Iterator[Instruction]:
+    def rows(self, seed: Optional[int] = None,
+             code_copies: int = 1) -> Iterator[Row]:
         raise NotImplementedError
 
 
@@ -84,8 +82,8 @@ class PhasedSpec(ComposedSpec):
         super().__init__(name, parts, seed, description=description)
         self.phase_len = phase_len
 
-    def generate(self, seed: Optional[int] = None,
-                 code_copies: int = 1) -> Iterator[Instruction]:
+    def rows(self, seed: Optional[int] = None,
+             code_copies: int = 1) -> Iterator[Row]:
         streams = self._streams(seed, code_copies)
         while True:
             for stream in streams:
@@ -108,8 +106,8 @@ class BurstSpec(ComposedSpec):
                          shift_pcs=False)
         self.mean_burst = mean_burst
 
-    def generate(self, seed: Optional[int] = None,
-                 code_copies: int = 1) -> Iterator[Instruction]:
+    def rows(self, seed: Optional[int] = None,
+             code_copies: int = 1) -> Iterator[Row]:
         eff = self.seed if seed is None else seed
         rng = random.Random(eff ^ 0xB0B5)
         streams = self._streams(seed, code_copies)

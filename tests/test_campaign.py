@@ -110,6 +110,19 @@ def _crash_marked_cell_worker(config, span_ctx=None):  # pragma: no cover - subp
     return _cell_worker(config, span_ctx)
 
 
+#: The trace length that marks a cell for ``_raise_marked_cell_worker``.
+RAISE_LENGTH = 4343
+
+
+def _raise_marked_cell_worker(config, span_ctx=None):  # pragma: no cover - subprocess
+    """Cells with ``length == RAISE_LENGTH`` reach the real cell body with
+    a negative length, which the spec would refuse, so the body raises
+    ``ValueError`` in the worker; everything else runs normally."""
+    if config["params"].get("length") == RAISE_LENGTH:
+        config = {**config, "params": {**config["params"], "length": -5}}
+    return _cell_worker(config, span_ctx)
+
+
 def _slow_marked_cell_worker(config, span_ctx=None):  # pragma: no cover - subprocess
     """Cells of ``SLOW_PREDICTOR`` stall for a minute before running;
     everything else runs normally."""
@@ -223,6 +236,21 @@ class TestSpec:
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SpecError, match="unknown workload"):
             mini_spec(matrix={"length": [4000], "benchmarks": [["nginx"]]})
+
+    @pytest.mark.parametrize("kind,params", [
+        ("predict", {"predictor": "stride", "bench": "gcc"}),
+        ("experiment", {"experiment": "fig8"}),
+    ], ids=["predict", "experiment"])
+    @pytest.mark.parametrize("key", ["length", "code_copies"])
+    @pytest.mark.parametrize("value", [0, -5, True, 2.0, "100"])
+    def test_non_positive_trace_shape_rejected(self, kind, params, key,
+                                               value):
+        with pytest.raises(SpecError, match=f"{key} must be an integer"):
+            CampaignSpec.from_dict({
+                "campaign": {"name": "p"},
+                "defaults": {"kind": kind, **params},
+                "matrix": {key: [value]},
+            })
 
     def test_empty_grid_rejected(self):
         with pytest.raises(SpecError, match="zero cells"):
@@ -519,16 +547,18 @@ class TestScheduler:
     def test_soft_failure_quarantined_not_fatal(self, tmp_path):
         """A cell that raises is retried then quarantined with its
         traceback; the sibling cells still complete."""
-        spec = mini_spec(matrix={"length": [4000, -5],
+        spec = mini_spec(matrix={"length": [4000, RAISE_LENGTH],
                                  "benchmarks": [["gcc"]]})
         store = CampaignStore(tmp_path / "c")
         store.create(spec)
         reg = MetricsRegistry()
-        summary = scheduler(spec, store, registry=reg).run()
+        summary = scheduler(spec, store, registry=reg,
+                            cell_worker=_raise_marked_cell_worker).run()
         assert summary.completed == 1
         assert summary.quarantined == 1
         assert summary.retried == 1  # max_attempts=2 -> one retry round
-        bad = next(c for c in spec.cells() if c.params["length"] == -5)
+        bad = next(c for c in spec.cells()
+                   if c.params["length"] == RAISE_LENGTH)
         record = store.load_quarantine(bad.cell_id)
         assert "ValueError" in record["error"]
         assert "Traceback" in record["traceback"]
@@ -667,11 +697,11 @@ class TestShippedSpecs:
 # ---------------------------------------------------------------------------
 # Fidelity gate and reports
 # ---------------------------------------------------------------------------
-def run_mini(tmp_path, **spec_extra):
+def run_mini(tmp_path, cell_worker=_cell_worker, **spec_extra):
     spec = mini_spec(**spec_extra)
     store = CampaignStore(tmp_path / "c")
     store.create(spec)
-    scheduler(spec, store).run()
+    scheduler(spec, store, cell_worker=cell_worker).run()
     return spec, store
 
 
@@ -751,8 +781,9 @@ class TestReport:
 
     def test_quarantine_section_rendered(self, tmp_path):
         spec, store = run_mini(
-            tmp_path, matrix={"length": [4000, -5],
-                              "benchmarks": [["gcc"]]})
+            tmp_path, cell_worker=_raise_marked_cell_worker,
+            matrix={"length": [4000, RAISE_LENGTH],
+                    "benchmarks": [["gcc"]]})
         text = render_report(spec, store)
         assert "quarantined cells" in text
         assert "ValueError" in text

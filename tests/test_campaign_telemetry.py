@@ -21,6 +21,7 @@ from repro.campaign import (
     watch_lines,
 )
 from repro.telemetry import MetricsRegistry
+from tests.test_campaign import RAISE_LENGTH, _raise_marked_cell_worker
 
 PREDICT = {
     "campaign": {"name": "tele", "description": "telemetry grid"},
@@ -41,7 +42,8 @@ def run_campaign(tmp_path, spec, registry=None, max_workers=1, warm=True):
     store.create(spec)
     summary = CampaignScheduler(
         spec, store, max_workers=max_workers, registry=registry, warm=warm,
-        retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0)).run()
+        retry=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
+        cell_worker=_raise_marked_cell_worker).run()
     return store, summary
 
 
@@ -89,10 +91,11 @@ class TestStoredTelemetry:
 
     def test_quarantined_record_names_broken_frame(self, tmp_path):
         spec = predict_spec(matrix={"bench": ["gcc"],
-                                    "length": [3000, -5]})
+                                    "length": [3000, RAISE_LENGTH]})
         store, summary = run_campaign(tmp_path, spec)
         assert summary.completed == 1 and summary.quarantined == 1
-        bad = next(c for c in spec.cells() if c.params["length"] == -5)
+        bad = next(c for c in spec.cells()
+                   if c.params["length"] == RAISE_LENGTH)
         summary_row = store.summary(bad.cell_id)
         assert summary_row["status"] == "quarantined"
         assert summary_row["traceback_frame"].startswith('File "')
@@ -101,7 +104,7 @@ class TestStoredTelemetry:
 class TestLiveViews:
     def test_status_shows_events_per_s_and_frames(self, tmp_path):
         spec = predict_spec(matrix={"bench": ["gcc"],
-                                    "length": [3000, -5]})
+                                    "length": [3000, RAISE_LENGTH]})
         store, _summary = run_campaign(tmp_path, spec)
         text = "\n".join(status_lines(spec, store))
         assert "ev/s" in text
@@ -131,7 +134,7 @@ class TestLiveViews:
 
     def test_telemetry_report_sections(self, tmp_path):
         spec = predict_spec(matrix={"bench": ["gcc"],
-                                    "length": [3000, -5]})
+                                    "length": [3000, RAISE_LENGTH]})
         store, _summary = run_campaign(tmp_path, spec)
         text = "\n".join(telemetry_lines(spec, store))
         assert "slowest 1 cells:" in text

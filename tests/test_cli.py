@@ -26,6 +26,33 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace", "soplex"])
 
+    #: Every command taking a trace length or code-copy count.
+    TRACE_SHAPE_ARGS = [
+        ["run", "fig8", "--length"],
+        ["trace", "gen", "gcc", "--length"],
+        ["workloads", "--length"],
+        ["predict", "gcc", "--length"],
+        ["simulate", "gcc", "--length"],
+        ["run-all", "--length"],
+        ["cache", "warm", "--length"],
+        ["cache", "warm", "--code-copies"],
+    ]
+
+    @pytest.mark.parametrize("argv", TRACE_SHAPE_ARGS,
+                             ids=lambda argv: " ".join(argv))
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_rejects_non_positive_trace_shape(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [value])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", TRACE_SHAPE_ARGS,
+                             ids=lambda argv: " ".join(argv))
+    def test_accepts_positive_trace_shape(self, argv):
+        args = build_parser().parse_args(argv + ["1"])
+        assert 1 in (args.length, getattr(args, "code_copies", None))
+
 
 class TestCommands:
     def test_list(self, capsys):

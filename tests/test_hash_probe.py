@@ -8,12 +8,13 @@ from repro.core import GDiffPredictor
 from repro.predictors import MarkovPredictor, StridePredictor
 from repro.trace import OpClass
 from repro.trace.kernels import HashProbeKernel, RegAllocator
+from repro.trace.packed import instructions
 
 
 def blocks(kernel, n, seed=0):
     kernel.bind(pc_base=0x400000, addr_base=0x10000000, regs=RegAllocator())
     rng = random.Random(seed)
-    return [kernel.block(rng) for _ in range(n)]
+    return [list(instructions(kernel.block(rng))) for _ in range(n)]
 
 
 class TestStructure:

@@ -10,6 +10,7 @@ from repro.analysis import StreamClass, classify_stream
 from repro.core import GDiffPredictor
 from repro.predictors import DFCMPredictor, StridePredictor
 from repro.trace import OpClass
+from repro.trace.packed import instructions
 from repro.trace.kernels import (
     ArrayWalkKernel,
     BranchyKernel,
@@ -34,7 +35,7 @@ def blocks(kernel, n, seed=0):
     rng = random.Random(seed)
     out = []
     for _ in range(n):
-        out.append(kernel.block(rng))
+        out.append(list(instructions(kernel.block(rng))))
     return out
 
 def values_of(kernel, n, pc=None, seed=0):
@@ -386,7 +387,7 @@ class TestPCCopies:
         rng = random.Random(0)
         pcs = []
         for _ in range(8):
-            pcs.append(k.block(rng)[0].pc)
+            pcs.append(next(instructions(k.block(rng))).pc)
             k.advance_copy()
         assert len(set(pcs)) == 4
         assert pcs[:4] == pcs[4:]
