@@ -1025,8 +1025,8 @@ def _sample_rate(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for ``--length`` and ``--code-copies``: an integer
-    of at least 1."""
+    """argparse type for ``--length``, ``--code-copies`` and ``--jobs``:
+    an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -1176,7 +1176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_all.add_argument("--experiments",
                        help="comma-separated experiment subset "
                             "(default: all)")
-    p_all.add_argument("--jobs", type=int, default=None,
+    p_all.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker processes (default: all cores; "
                             "1 = serial)")
     p_all.add_argument("--length", type=_positive_int, default=None,
@@ -1231,7 +1231,7 @@ def build_parser() -> argparse.ArgumentParser:
                   if action == "run"
                   else "continue an interrupted campaign"))
         _camp_common(p)
-        p.add_argument("--jobs", type=int, default=None,
+        p.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker processes (default: all cores; "
                             "1 = in-process)")
         p.add_argument("--max-attempts", type=int, default=3,

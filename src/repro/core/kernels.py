@@ -1,13 +1,45 @@
-"""Fused predict+train kernels over packed trace columns.
+"""Fused predict+train kernels over packed trace columns, run row by row.
 
 The profile methodology calls every predictor twice per dynamic
 instruction (``predict`` then ``update``); even with flat predictor state
 that is half a dozen Python calls per pair.  The kernels here fuse one
-predictor's whole profile run into a single loop that walks the packed
-``(pc, value)`` (or ``(pc, addr)``) columns directly, with every piece of
-hot state bound to a local variable — no ``Instruction`` materialisation,
-no method dispatch, and no per-pair allocation outside gDiff's distance
+predictor's whole profile run into loops over the packed ``(pc, value)``
+(or ``(pc, addr)``) columns — no ``Instruction`` materialisation, no
+method dispatch, and no per-pair allocation outside gDiff's distance
 search (below).
+
+**Row order.**  In a profile run a PC-indexed table row trains only on
+its own instruction's values and on the retire-order value stream, which
+is a fixed column, so every row evolves independently of the others.  The
+kernels therefore run *row-major*: the pair indices are grouped by PC
+(:func:`repro.trace.packed.pc_groups`; a trace view caches its grouping,
+and :func:`run_pairs` groups plain columns itself), a table's rows are
+read off those groups, each row's pairs run together in trace order with
+the row's state in local variables, and the state is written back once
+per row.  A row's
+locals are gDiff's locked distance and lazy difference vector, stride's
+``last``/``stride``/``candidate``, the last value, and DFCM's ``last``,
+stride history and rolling hash.  Rows are visited in the order of their
+first pair, so every table and dict grows in the order the object path
+inserts into it.  A bounded table's row merges the PCs that alias in it,
+split into runs of one PC each (:func:`_table_runs`); the row's state is
+reloaded for each run, which also counts its conflicts and re-salts
+DFCM's hash.  The result is exact because the only dependences between
+pairs that do not share a row run through three pieces of shared state,
+each kept in trace order:
+
+* **the value column** — read-only in a profile run;
+* **the confidence gate** — every gate the runtime builds is unlimited
+  and keyed by PC, so a counter lives inside its PC's row; it is held in
+  a local while the PC's pairs run, and slots the gate does not hold yet
+  are inserted in the order of their first scored pair (gates keyed any
+  other way make :func:`run_pairs` decline);
+* **DFCM's level-2 table** — shared by all rows, so the row pass only
+  records each pair's level-2 key and the stride it writes, and one
+  trace-order pass over those two columns reads, writes and scores
+  ``_l2`` (and gates).  A prediction is right exactly when the stride
+  read equals the stride written, so that pass needs neither the value
+  nor ``last``.
 
 Two structural tricks carry the gDiff kernels:
 
@@ -17,44 +49,48 @@ Two structural tricks carry the gDiff kernels:
   (at most ``order + delay`` of them, the furthest any read reaches back)
   followed by the values column, copied once into a list so that reads
   and slices share its int objects instead of boxing each word —
-  ``GVQ[d]`` is ``win[i + pre - delay - d]``, with no branch.  The loop
-  performs no ring writes or modulo arithmetic; the ring and validity
-  mask are written back once at the end, so the predictor's externally
-  observable state is *identical* to what the object path leaves behind
-  (and ``warm_then_measure`` can chain kernel runs).  The same argument
-  covers the trace-driven HGVQ: each pair's write-back deposits its real
-  value before any younger pair reads the slot, so the window is again
-  this column and the filler's *prediction* is dead — only its
-  training matters, which runs as its own fused pass.
+  ``GVQ[d]`` is ``win[i + pre - delay - d]``, with no branch, whichever
+  row pair *i* belongs to.  The kernel performs no ring writes or modulo
+  arithmetic; the ring and validity mask are written back once at the
+  end, so the predictor's externally observable state is *identical* to
+  what the object path leaves behind (and ``warm_then_measure`` can chain
+  kernel runs).  The same argument covers the trace-driven HGVQ: each
+  pair's write-back deposits its real value before any younger pair reads
+  the slot, so the window is again this column and the filler's
+  *prediction* is dead — only its training matters, which is the stride
+  or last-value kernel run on its own table.
 
 * **Lazy difference vectors.**  The object path materialises the order-n
   difference vector on every update (to compare against the stored one
   and to store it back).  But a stored vector is fully determined by
   ``(actual, i)`` of the pair that stored it: its difference at distance
   *d* is ``actual - window_i[d]``, and ``window_i`` is just another slice
-  of the window column.  So the kernel stores the two words and never
-  builds the vector.  Under the sticky policy the prediction has already
-  compared the locked distance; when it was right, that distance is
-  chosen at no further cost.  Otherwise the update rule's search runs in
-  C builtins: ``xs = list(map(sub, window_then, window_now))`` over two
+  of the window column.  So the row keeps the two words in locals and
+  never builds the vector; it also keeps the stored difference at the
+  locked distance, so a prediction is one window read, an add and a
+  compare.  Under the sticky policy the prediction has already compared
+  the locked distance; when it was right, that distance is chosen at no
+  further cost (and the differences stored afresh hold the same
+  difference there).  Otherwise the update rule's search runs
+  in C builtins: ``xs = list(map(sub, window_then, window_now))`` over two
   slices of the column, then ``in`` and ``list.index`` for the first
-  distance holding ``actual_then - actual_now`` (mod 2^64, so one of
-  two unreduced values); a row already in the flat arrays is searched as
+  distance holding ``actual_then - actual_now`` (mod 2^64, so one of two
+  unreduced values); a row stored by an earlier call is searched as
   ``map(add, stored, window_now)`` against ``actual`` instead.  A miss
   still costs O(order) work, but in C builtins rather than a Python loop
   per distance, and misses are common: in the sweep's gDiff cells 27–34%
   of the pairs fail the locked-distance check and scan every distance
-  without a match.  The lazily-represented rows are materialised into the
-  flat diff arrays once when the kernel finishes, leaving the table
-  bit-identical to the object path's.
+  without a match.  Each row is materialised into the flat diff arrays
+  once, when its pairs are done, leaving the table bit-identical to the
+  object path's.
 
 Every kernel reproduces the object path exactly — the same
 :class:`~repro.predictors.base.PredictionStats` counters and the same
-table/queue/confidence state (asserted by
+table/queue/confidence state, dict insertion order included (asserted by
 ``tests/test_kernel_equivalence.py``).  Shapes the kernels do not model
 (tagged tables, attached telemetry meters, Markov predictors, custom
-fillers) make :func:`run_pairs` decline before mutating anything, and the
-caller falls back to the object loop.
+fillers, bounded or tagged gates) make :func:`run_pairs` decline before
+mutating anything, and the caller falls back to the object loop.
 
 ``REPRO_KERNELS=0`` disables the kernels entirely (the escape hatch;
 checked on every call so tests can toggle it).
@@ -63,8 +99,10 @@ checked on every call so tests can toggle it).
 from __future__ import annotations
 
 import os
-from operator import add, sub
-from typing import Optional
+from array import array
+from itertools import groupby
+from operator import add, itemgetter, sub
+from typing import Dict, Optional, Sequence
 
 from ..predictors.base import ConstantPredictor, PredictionStats
 from ..predictors.confidence import ConfidenceTable
@@ -72,6 +110,7 @@ from ..predictors.dfcm import DFCMPredictor, _DFCMEntry
 from ..predictors.fcm import _HASH_MULT
 from ..predictors.last_value import LastValuePredictor
 from ..predictors.stride import StridePredictor, _StrideEntry
+from ..trace.packed import pc_groups
 from ..wordops import WORD_MASK
 from .gdiff import GDiffPredictor
 from .hybrid import HybridGDiffPredictor
@@ -82,17 +121,30 @@ def kernels_enabled() -> bool:
     return os.environ.get("REPRO_KERNELS", "1") != "0"
 
 
+def _local_table_fits(table) -> bool:
+    return not (table.tagged or table.track_conflicts)
+
+
+def _gdiff_table_fits(table) -> bool:
+    return not (table.tagged or table._meters is not None)
+
+
 def run_pairs(predictor, pcs, values, stats: PredictionStats,
-              conf: Optional[ConfidenceTable] = None) -> bool:
+              conf: Optional[ConfidenceTable] = None,
+              groups: Optional[Dict[int, Sequence[int]]] = None) -> bool:
     """Run *predictor* over packed columns with a fused kernel, if one fits.
 
     Args:
         predictor: the predictor to drive (predict-then-update per pair).
-        pcs, values: packed ``array('Q')`` columns (addresses count as
-            values — the Section 6 address runs use the same kernels).
+        pcs, values: packed ``array('Q')`` columns, or lists of machine
+            words (addresses count as values — the Section 6 address runs
+            use the same kernels).
         stats: accumulated into exactly as the object path would.
         conf: optional confidence gate; when given, the run is gated with
             the same record/train interleaving as the generic loop.
+        groups: the columns' :func:`~repro.trace.packed.pc_groups`, when
+            the caller holds them (a trace view caches its own); built
+            here otherwise.
 
     Returns:
         True when a kernel ran; False when no kernel models this
@@ -101,84 +153,165 @@ def run_pairs(predictor, pcs, values, stats: PredictionStats,
     """
     if not kernels_enabled():
         return False
-    if conf is not None and (type(conf) is not ConfidenceTable
-                             or conf._table.tagged):
-        return False
+    if conf is not None:
+        ctab = conf._table
+        if (type(conf) is not ConfidenceTable or ctab.tagged
+                or ctab.entries is not None):
+            return False  # only a PC-keyed gate lives inside a row
     kind = type(predictor)
     if kind is GDiffPredictor:
-        table = predictor.table
-        if table.tagged or table._meters is not None:
-            return False
-        _gdiff_pairs(predictor, pcs, values, stats, conf)
-        return True
-    if kind is StridePredictor:
-        table = predictor._table
-        if table.tagged or table.track_conflicts:
-            return False
-        _stride_pairs(predictor, pcs, values, stats, conf)
-        return True
-    if kind is LastValuePredictor:
-        table = predictor._table
-        if table.tagged or table.track_conflicts:
-            return False
-        _last_value_pairs(predictor, pcs, values, stats, conf)
-        return True
-    if kind is DFCMPredictor:
-        table = predictor._l1
-        if table.tagged or table.track_conflicts:
-            return False
-        _dfcm_pairs(predictor, pcs, values, stats, conf)
-        return True
-    if kind is HybridGDiffPredictor:
-        table = predictor.table
-        if table.tagged or table._meters is not None:
-            return False
-        if getattr(predictor, "_trace_seq", None) is not None:
-            return False  # a dangling dispatch: only the object path pairs it
-        filler = predictor.filler
-        fkind = type(filler)
-        if fkind is ConstantPredictor:
-            pass
-        elif fkind in (StridePredictor, LastValuePredictor):
-            if filler._table.tagged or filler._table.track_conflicts:
-                return False
-        else:
-            return False
-        _hybrid_pairs(predictor, pcs, values, stats, conf)
-        return True
-    return False
+        fits = _gdiff_table_fits(predictor.table)
+        kernel = _gdiff_pairs
+    elif kind is StridePredictor or kind is LastValuePredictor:
+        fits = _local_table_fits(predictor._table)
+        kernel = (_stride_pairs if kind is StridePredictor
+                  else _last_value_pairs)
+    elif kind is DFCMPredictor:
+        fits = _local_table_fits(predictor._l1)
+        kernel = _dfcm_pairs
+    elif kind is HybridGDiffPredictor:
+        filler = type(predictor.filler)
+        # A dangling dispatch (_trace_seq set): only the object path
+        # pairs it with its write-back.
+        fits = (_gdiff_table_fits(predictor.table)
+                and getattr(predictor, "_trace_seq", None) is None
+                and (filler is ConstantPredictor
+                     or (filler in (StridePredictor, LastValuePredictor)
+                         and _local_table_fits(predictor.filler._table))))
+        kernel = _hybrid_pairs
+    else:
+        return False
+    if not fits:
+        return False
+    if groups is None:
+        groups = pc_groups(pcs)
+    kernel(predictor, pcs, values, groups, stats, conf)
+    return True
 
 
-def _conf_locals(conf: Optional[ConfidenceTable]):
-    """Unpack a confidence gate into loop locals.
+def _table_runs(groups, entries: Optional[int], shift: int):
+    """A PC-indexed table's rows as runs: ``(key, pc, indices)`` triples.
 
-    Returns (gated, counters dict, unlimited?, mask, shift, threshold, up,
-    down, max).  The counter dict is the gate's own backing store, mutated
-    in place, so the table ends in exactly the state the object path's
-    ``is_confident``/``train`` calls would leave.
+    *key* is the row's table key — the PC (unlimited table) or the slot
+    (bounded table) — and *indices* a maximal run of *pc*'s pairs within
+    the row, in trace order.  Rows come in the order of their first pair
+    and a row's runs are consecutive.  A row is one PC's whole group
+    unless PCs alias in a bounded slot; that slot's row merges their
+    groups and splits the merged pairs wherever the PC changes, so a
+    kernel reloads the row's state for each of its runs.
     """
-    if conf is None:
-        return False, None, True, 0, 0, 0, 0, 0, 0
-    ctab = conf._table
-    cunlim = ctab.entries is None
-    cmask = 0 if cunlim else ctab.entries - 1
-    return (True, ctab._data, cunlim, cmask, ctab.pc_shift, conf.threshold,
-            conf.up, conf.down, conf.max_value)
+    if entries is None:
+        return zip(groups, groups, groups.values())
+    emask = entries - 1
+    slots = [(pc >> shift) & emask for pc in groups]
+    if len(set(slots)) == len(slots):
+        return zip(slots, groups, groups.values())
+    members: Dict[int, list] = {}
+    for slot, pc, idxs in zip(slots, groups, groups.values()):
+        members.setdefault(slot, []).append((pc, idxs))
+    runs = []
+    for slot, group in members.items():
+        if len(group) == 1:
+            runs.append((slot, *group[0]))
+            continue
+        pairs = sorted((i, pc) for pc, idxs in group for i in idxs)
+        for pc, run in groupby(pairs, itemgetter(1)):
+            runs.append((slot, pc, list(map(itemgetter(0), run))))
+    return runs
+
+
+class _Gate:
+    """A PC-keyed confidence gate, driven one run of a PC's pairs at a time.
+
+    While a run executes its PC's counter is a kernel local: :meth:`open`
+    fetches it and :meth:`close` stores it.  A slot the gate does not hold
+    yet is kept aside with the index of its first scored pair and inserted
+    by :meth:`finish` in that order — where the object path's first
+    ``train`` call inserts it.
+    """
+
+    __slots__ = ("data", "threshold", "up", "down", "max_value", "_new")
+
+    def __init__(self, conf: ConfidenceTable):
+        self.data = conf._table._data
+        self.threshold = conf.threshold
+        self.up = conf.up
+        self.down = conf.down
+        self.max_value = conf.max_value
+        self._new: Dict[int, tuple] = {}
+
+    def open(self, pc: int):
+        """``(counter, first scored index)``; the index is -1 for a slot
+        not scored yet and 0 for one the gate already holds."""
+        cur = self.data.get(pc)
+        if cur is not None:
+            return cur, 0
+        return self._new.get(pc, (0, -1))
+
+    def close(self, pc: int, cur: int, first: int) -> None:
+        if pc in self.data:
+            self.data[pc] = cur
+        elif first >= 0:
+            self._new[pc] = (cur, first)
+
+    def finish(self) -> None:
+        data = self.data
+        for pc, (cur, _first) in sorted(self._new.items(),
+                                        key=lambda item: item[1][1]):
+            data[pc] = cur
+
+
+def _add_stats(stats: PredictionStats, n: int, predictions: int,
+               correct: int, confident: int, confident_correct: int) -> None:
+    stats.attempts += n
+    stats.predictions += predictions
+    stats.correct += correct
+    stats.confident += confident
+    stats.confident_correct += confident_correct
 
 
 # ---------------------------------------------------------------------------
 # gDiff (shared by the GVQ and trace-driven HGVQ deployments)
 # ---------------------------------------------------------------------------
-def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
-                order):
-    """The fused gDiff loop over one packed column pair.
+def _ring_read(ring, cap: int, start: int, stop: int) -> list:
+    """The queue ring's words for global positions ``[start, stop)``
+    (at most *cap* of them), oldest first."""
+    a = start % cap
+    b = a + stop - start
+    if b <= cap:
+        return ring[a:b].tolist()
+    return ring[a:].tolist() + ring[:b - cap].tolist()
+
+
+def _ring_write(ring, cap: int, start: int, values) -> None:
+    """Store *values* at global positions ``start, start + 1, ...`` as
+    per-value pushes would, leaving the last *cap* of them."""
+    n = len(values)
+    if n > cap:
+        start += n - cap
+        values = values[n - cap:]
+        n = cap
+    words = array("Q", values)
+    a = start % cap
+    b = a + n
+    if b <= cap:
+        ring[a:b] = words
+    else:
+        ring[a:] = words[:cap - a]
+        ring[:b - cap] = words[cap - a:]
+
+
+def _gdiff_core(table, values, groups, stats, conf, ring, cap, count0,
+                delay, order):
+    """The fused gDiff kernel over one packed column pair, row by row.
 
     *count0* is the queue's global position at entry (values pushed, or
     HGVQ slots allocated); *delay* is the value delay T (0 for HGVQ).
     Handles every policy, bounded/unlimited tables, and the aliasing
     accounting of ``DirectMappedTable.lookup_or_create`` (tagless only).
-    Returns the last selected distance (0 = last update mismatched, None =
-    no pairs) for ``last_distance``; the caller syncs queue state.
+    Returns the distance the call's last pair selected (0 = it
+    mismatched, None = no pairs) for ``last_distance``; the caller syncs
+    queue state.
     """
     # The window column: the pre-run ring words a read can still reach
     # (none reaches further back than order + delay words before pair 0),
@@ -186,16 +319,19 @@ def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
     # list, even when the prefix is empty: its reads and slices share the
     # int objects, where an array's would box every word again.
     pre = min(count0, order + delay)
-    win = [ring[k % cap] for k in range(count0 - pre, count0)]
+    win = _ring_read(ring, cap, count0 - pre, count0)
     win += values
     off = pre - delay
     eff0 = count0 - delay
+    full = order - eff0  # pairs from here on see the whole window
     mask = WORD_MASK
     wrap = mask + 1
-    n = len(pcs)
+    n = len(values)
+    nlast = n - 1
 
     unlimited = table.entries is None
-    rows_get = table._rows.get
+    rows_map = table._rows
+    rows_get = rows_map.get
     diffs = table._diffs
     dist = table._dist
     valid = table._valid
@@ -205,78 +341,28 @@ def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
     sticky = table.policy == "sticky-nearest"
     farthest = table.policy == "farthest"
     refresh = table.refresh_on_match
-    track = table.track_conflicts
-    emask = 0 if unlimited else table.entries - 1
-    shift = table.pc_shift
+    keep = sticky and refresh
+    track = table.track_conflicts and not unlimited
     occupied = table._occupied
     nrows = table._nrows
     conflicts = 0
-    # Rows stored during this run, kept lazily as (actual, pair index);
-    # materialised into the flat arrays at the end.
-    lazy = {}
-    lazy_get = lazy.get
 
-    gated, cdata, cunlim, cmask, cshift, cthr, cup, cdown, cmax = \
-        _conf_locals(conf)
-    cget = cdata.get if gated else None
-
-    predictions = correct = confident = confident_correct = 0
+    gated = conf is not None
+    if gated:
+        gate = _Gate(conf)
+        cthr, cup, cdown, cmax = (gate.threshold, gate.up, gate.down,
+                                  gate.max_value)
+    cur = cfirst = la = 0
+    sel = sel_i = -1  # the last scan's selection, and its pair
+    misses = correct = confident = confident_correct = 0
     last_sel = None
 
-    i = 0
-    for pc, actual in zip(pcs, values):
-        vc = eff0 + i  # visible window depth: always a prefix 1..vc
-        if vc > order:
-            vc = order
-        elif vc < 0:
-            vc = 0
-        top = i + off  # win[top - d] is GVQ[d]
-        if unlimited:
-            row = rows_get(pc, -1)
-            idx = 0
-        else:
-            idx = (pc >> shift) & emask
-            row = idx if present[idx] else -1
-        # -- predict: one (lazy: two) window read at the locked distance
-        predicted = None
-        lz = None
-        if row >= 0:
-            lz = lazy_get(row)
-            d = dist[row]
-            if d and d <= vc:
-                if lz is None:
-                    if d <= valid[row]:
-                        predicted = (win[top - d]
-                                     + diffs[row * order + d - 1]) & mask
-                elif d <= eff0 + lz[1]:  # d <= order always holds
-                    predicted = (win[top - d] + lz[0]
-                                 - win[lz[1] + off - d]) & mask
-        # -- score (and gate)
-        if predicted is not None:
-            predictions += 1
-            if gated:
-                slot = pc if cunlim else (pc >> cshift) & cmask
-                cur = cget(slot, 0)
-                if predicted == actual:
-                    correct += 1
-                    if cur >= cthr:
-                        confident += 1
-                        confident_correct += 1
-                    cur += cup
-                    if cur > cmax:
-                        cur = cmax
-                else:
-                    if cur >= cthr:
-                        confident += 1
-                    cur -= cdown
-                    if cur < 0:
-                        cur = 0
-                cdata[slot] = cur
-            elif predicted == actual:
-                correct += 1
+    for key, pc, idxs in _table_runs(groups, table.entries, table.pc_shift):
         # -- resolve/create the row with lookup_or_create's accounting
-        if row < 0:
-            if unlimited:
+        if unlimited:
+            row = rows_get(key, -1)
+            fresh = row < 0
+            if fresh:
                 if nrows * order == len(diffs):
                     table._nrows = nrows
                     table._grow()
@@ -286,32 +372,85 @@ def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
                     present = table._present
                 row = nrows
                 nrows += 1
-                table._rows[pc] = row
-            else:
-                row = idx
-                if track:
-                    owner[row] = pc
-                    owner_set[row] = 1
+                rows_map[key] = row
+        else:
+            row = key
+            fresh = not present[row]
+        if fresh:
             present[row] = 1
             occupied += 1
             dist[row] = 0
             valid[row] = 0
-        elif not unlimited and track:
-            if owner_set[row] and owner[row] != pc:
+        if track:
+            if not fresh and owner_set[row] and owner[row] != pc:
                 conflicts += 1
             owner[row] = pc
             owner_set[row] = 1
-        # -- match & select (paper's update rule), diffs compared lazily
-        chosen = 0
-        if sticky and predicted == actual:
-            # The prediction compared this row's stored and current
-            # differences at the locked distance, within the same bound.
-            chosen = d
+        if gated:
+            cur, cfirst = gate.open(pc)
+        # -- the row's state, in locals for the run.  d is the locked
+        # distance.  The stored differences are the flat row (ssv of them
+        # valid) until a pair of the run stores its own, kept lazily as
+        # (la, li) = (that pair's value and index; li = -1 while there is
+        # none).  Pair i's differences number eff0 + i (negative while the
+        # delay still hid the whole queue).  pd is the distance a
+        # prediction reads (d while the stored differences reach it, else
+        # 0), D the stored difference there, and win[i + offd] the window
+        # word it adds D to.
+        d = dist[row]
+        rbase = row * order
+        ssv = valid[row]
+        li = -1
+        if d and d <= ssv:
+            pd = d
+            D = diffs[rbase + d - 1]
         else:
-            # Distances the row stores, capped by vc (which is <= order);
-            # a lazy row's count is negative if the delay still hid the
-            # whole queue from the pair that stored it.
-            sv = valid[row] if lz is None else eff0 + lz[1]
+            pd = D = 0
+        offd = off - pd
+        for i in idxs:
+            actual = win[i + pre]
+            # -- predict at the locked distance, if the visible window
+            # (always a prefix of eff0 + i distances) reaches it; then
+            # score (and gate)
+            if pd and (i >= full or pd <= eff0 + i):
+                if (win[i + offd] + D) & mask == actual:
+                    correct += 1
+                    if gated:
+                        if cfirst < 0:
+                            cfirst = i
+                        if cur >= cthr:
+                            confident += 1
+                            confident_correct += 1
+                        cur += cup
+                        if cur > cmax:
+                            cur = cmax
+                    # Sticky: the prediction compared the stored and the
+                    # current difference at the locked distance, so keep
+                    # it.  Stored afresh, the differences still reach d
+                    # and hold D there.
+                    if keep:
+                        la = actual
+                        li = i
+                        continue
+                    if sticky:
+                        continue
+                else:
+                    misses += 1
+                    if gated:
+                        if cfirst < 0:
+                            cfirst = i
+                        if cur >= cthr:
+                            confident += 1
+                        cur -= cdown
+                        if cur < 0:
+                            cur = 0
+            # -- match & select (paper's update rule), diffs compared
+            # lazily: distances the row stores, capped by vc.
+            vc = order if i >= full else max(eff0 + i, 0)
+            top = i + off  # win[top - k] is GVQ[k]
+            sel = 0
+            sel_i = i
+            sv = eff0 + li if li >= 0 else ssv
             limit = sv if sv < vc else vc
             if limit > 0:
                 # xs[k] is a sum or difference of distance limit - k's
@@ -322,20 +461,19 @@ def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
                 # order covers pre == order + delay (limit <= sv does the
                 # same for top0).  A negative slice start would silently
                 # read from the column's end.
-                if lz is None:
-                    rbase = row * order
+                if li >= 0:
+                    top0 = li + off
+                    # then - now == a_then - actual (mod 2^64)
+                    xs = list(map(sub, win[top0 - limit:top0],
+                                  win[top - limit:top]))
+                    t = (la - actual) & mask
+                    t2 = t - wrap
+                else:
                     # stored + now == actual (mod 2^64), sum < 2^65
                     xs = list(map(add, reversed(diffs[rbase:rbase + limit]),
                                   win[top - limit:top]))
                     t = actual
                     t2 = actual + wrap
-                else:
-                    top0 = lz[1] + off
-                    # then - now == a_then - actual (mod 2^64), |diff| < 2^64
-                    xs = list(map(sub, win[top0 - limit:top0],
-                                  win[top - limit:top]))
-                    t = (lz[0] - actual) & mask
-                    t2 = t - wrap
                 if not farthest:
                     xs.reverse()  # now xs[k] is distance k + 1
                 p = xs.index(t) if t in xs else limit
@@ -344,53 +482,59 @@ def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
                     if k < p:
                         p = k
                 if p < limit:
-                    chosen = limit - p if farthest else p + 1
-        if chosen:
-            dist[row] = chosen
-            if refresh:
-                lazy[row] = (actual, i)
-            last_sel = chosen
-        else:
-            lazy[row] = (actual, i)
-            last_sel = 0
-        i += 1
+                    sel = pd = d = limit - p if farthest else p + 1
+                    if not refresh:  # the stored differences stay
+                        offd = off - d
+                        D = ((la - win[li + offd]) & mask if li >= 0
+                             else diffs[rbase + d - 1])
+                        continue
+            la = actual
+            li = i
+            if d and d <= eff0 + i:
+                pd = d
+                D = (actual - win[i + off - d]) & mask
+            else:
+                pd = 0
+            offd = off - pd
+        if gated:
+            gate.close(pc, cur, cfirst)
+        # -- write the row back: distance, and the lazy differences
+        # materialised into the flat arrays
+        dist[row] = d
+        if li >= 0:
+            sv = eff0 + li
+            if sv > order:
+                sv = order
+            elif sv < 0:
+                sv = 0  # stored while the delay still hid the whole queue
+            top0 = li + off
+            for dd in range(sv):
+                diffs[rbase + dd] = (la - win[top0 - 1 - dd]) & mask
+            valid[row] = sv
+        if i == nlast:  # the call's last pair: a scan's pick, or a hit on d
+            last_sel = sel if sel_i == i else d
 
-    # -- materialise lazily-stored rows into the flat diff arrays
-    for row, (a0, i0) in lazy.items():
-        sv = eff0 + i0
-        if sv > order:
-            sv = order
-        elif sv < 0:
-            sv = 0  # stored while the delay still hid the whole queue
-        rbase = row * order
-        top0 = i0 + off
-        for dd in range(sv):
-            diffs[rbase + dd] = (a0 - win[top0 - 1 - dd]) & mask
-        valid[row] = sv
-
+    if gated:
+        gate.finish()
     table.accesses += n
     table.conflicts += conflicts
     table._occupied = occupied
     table._nrows = nrows
-    stats.attempts += n
-    stats.predictions += predictions
-    stats.correct += correct
-    stats.confident += confident
-    stats.confident_correct += confident_correct
+    _add_stats(stats, n, correct + misses, correct, confident,
+               confident_correct)
     return last_sel
 
 
-def _gdiff_pairs(pred: GDiffPredictor, pcs, values, stats, conf) -> None:
+def _gdiff_pairs(pred: GDiffPredictor, pcs, values, groups, stats,
+                 conf) -> None:
     """Fused gDiff profile kernel (GVQ deployment, any delay/policy)."""
     queue = pred.queue
-    cap = queue._capacity
-    ring = queue._buf
     count0 = queue._count
-    last_sel = _gdiff_core(pred.table, pcs, values, stats, conf, ring, cap,
-                           count0, queue.delay, pred.order)
+    last_sel = _gdiff_core(pred.table, values, groups, stats, conf,
+                           queue._buf, queue._capacity, count0, queue.delay,
+                           pred.order)
     # Write the queue state the object path's per-pair pushes would leave.
-    n = len(pcs)
-    new_count = count0 + n
+    new_count = count0 + len(values)
     queue._count = new_count
     kv = new_count - queue.delay
     if kv < 0:
@@ -398,45 +542,37 @@ def _gdiff_pairs(pred: GDiffPredictor, pcs, values, stats, conf) -> None:
     elif kv > queue.size:
         kv = queue.size
     queue._vmask = (1 << kv) - 1
-    start = new_count - cap
-    if start < count0:
-        start = count0
-    for s in range(start, new_count):
-        ring[s % cap] = values[s - count0]
+    _ring_write(queue._buf, queue._capacity, count0, values)
     if last_sel is not None:
         pred.last_distance = last_sel if last_sel else None
 
 
-def _hybrid_pairs(pred: HybridGDiffPredictor, pcs, values, stats,
+def _hybrid_pairs(pred: HybridGDiffPredictor, pcs, values, groups, stats,
                   conf) -> None:
     """Fused trace-driven HGVQ kernel.
 
     Trace-driven dispatch/write-back pairs mean every slot holds its real
     value before any younger pair reads it, so the gDiff training is the
     plain delay-0 core over the values column, and the filler reduces to
-    its own training pass (its predictions are dead; its state feeds
-    nothing the gDiff side reads).
+    its own training: its kernel run on its own table, with the scoring
+    thrown away (its predictions are dead; its state feeds nothing the
+    gDiff side reads).
     """
     queue = pred.queue
-    cap = queue._capacity
-    ring = queue._buf
     seq0 = queue._next_seq
-    last_sel = _gdiff_core(pred.table, pcs, values, stats, conf, ring, cap,
-                           seq0, 0, pred.order)
+    last_sel = _gdiff_core(pred.table, values, groups, stats, conf,
+                           queue._buf, queue._capacity, seq0, 0, pred.order)
     filler = pred.filler
     ftype = type(filler)
     if ftype is StridePredictor:
-        _train_stride(filler, pcs, values)
+        _stride_pairs(filler, pcs, values, groups, PredictionStats(), None)
     elif ftype is LastValuePredictor:
-        _train_last_value(filler, pcs, values)
+        _last_value_pairs(filler, pcs, values, groups, PredictionStats(),
+                          None)
     # ConstantPredictor.update is a no-op.
-    n = len(pcs)
+    n = len(values)
     queue._next_seq = seq0 + n
-    start = seq0 + n - cap
-    if start < seq0:
-        start = seq0
-    for s in range(start, seq0 + n):
-        ring[s % cap] = values[s - seq0]
+    _ring_write(queue._buf, queue._capacity, seq0, values)
     if last_sel is not None:
         pred.last_distance = last_sel if last_sel else None
     if n:
@@ -446,279 +582,256 @@ def _hybrid_pairs(pred: HybridGDiffPredictor, pcs, values, stats,
 # ---------------------------------------------------------------------------
 # Local predictors
 # ---------------------------------------------------------------------------
-def _stride_pairs(pred: StridePredictor, pcs, values, stats, conf) -> None:
-    """Fused two-delta local-stride kernel (entry objects mutated in place)."""
+# The local kernels read a row's values by index from a list copy of the
+# column (an array would box every word on each read).  Values are machine
+# words, so a prediction ``(last + step) & mask`` equals ``actual`` exactly
+# when ``step`` equals ``(actual - last) & mask``: the stride and DFCM
+# kernels compare strides and never form the prediction.
+
+def _stride_pairs(pred: StridePredictor, pcs, values, groups, stats,
+                  conf) -> None:
+    """Fused two-delta local-stride kernel, row by row (also the HGVQ
+    filler's training pass)."""
     table = pred._table
     data = table._data
     dget = data.get
-    unlim = table.entries is None
-    emask = 0 if unlim else table.entries - 1
-    shift = table.pc_shift
     two_delta = pred.two_delta
     mask = WORD_MASK
-    n = len(pcs)
+    vals = list(values)
+    n = len(vals)
 
-    gated, cdata, cunlim, cmask, cshift, cthr, cup, cdown, cmax = \
-        _conf_locals(conf)
-    cget = cdata.get if gated else None
-
-    predictions = correct = confident = confident_correct = 0
-    for pc, actual in zip(pcs, values):
-        idx = pc if unlim else (pc >> shift) & emask
-        e = dget(idx)
-        if e is not None and e.seen:
-            predicted = (e.last + e.stride * (1 + e.spec_ahead)) & mask
-            predictions += 1
-            if gated:
-                slot = pc if cunlim else (pc >> cshift) & cmask
-                cur = cget(slot, 0)
-                if predicted == actual:
-                    correct += 1
+    gated = conf is not None
+    if gated:
+        gate = _Gate(conf)
+        cthr, cup, cdown, cmax = (gate.threshold, gate.up, gate.down,
+                                  gate.max_value)
+    unscored = correct = confident = confident_correct = 0
+    for key, pc, idxs in _table_runs(groups, table.entries, table.pc_shift):
+        e = dget(key)
+        if e is None:
+            e = data[key] = _StrideEntry()
+        if e.seen:
+            e.seen += len(idxs)
+            last = e.last
+        else:  # the row's first value: not scored
+            e.seen = len(idxs)
+            last = vals[idxs[0]]
+            idxs = idxs[1:]
+            unscored += 1
+        stride = e.stride
+        cand = e.candidate
+        # predicted - last: stride * (1 + spec_ahead), spec_ahead being 0
+        # outside the pipeline
+        mult = 1 + e.spec_ahead
+        step = stride if mult == 1 else (stride * mult) & mask
+        if gated:
+            cur, cfirst = gate.open(pc)
+            if cfirst < 0 and idxs:
+                cfirst = idxs[0]
+        for i in idxs:
+            actual = vals[i]
+            delta = (actual - last) & mask
+            if delta == step:
+                correct += 1
+                if gated:
                     if cur >= cthr:
                         confident += 1
                         confident_correct += 1
                     cur += cup
                     if cur > cmax:
                         cur = cmax
-                else:
-                    if cur >= cthr:
-                        confident += 1
-                    cur -= cdown
-                    if cur < 0:
-                        cur = 0
-                cdata[slot] = cur
-            elif predicted == actual:
-                correct += 1
-        if e is None:
-            e = _StrideEntry()
-            e.last = actual
-            e.seen = 1
-            data[idx] = e
-        elif e.seen == 0:
-            e.last = actual
-            e.seen = 1
-        else:
-            delta = (actual - e.last) & mask
-            if two_delta:
-                if delta == e.candidate:
-                    e.stride = delta
-                e.candidate = delta
-            else:
-                e.stride = delta
-            e.last = actual
-            e.seen += 1
+            elif gated:
+                if cur >= cthr:
+                    confident += 1
+                cur -= cdown
+                if cur < 0:
+                    cur = 0
+            if delta == cand or not two_delta:
+                stride = delta
+                step = delta if mult == 1 else (delta * mult) & mask
+            cand = delta
+            last = actual
+        if gated:
+            gate.close(pc, cur, cfirst)
+        e.last = last
+        e.stride = stride
+        if two_delta:
+            e.candidate = cand
+    if gated:
+        gate.finish()
     table.accesses += n
-    stats.attempts += n
-    stats.predictions += predictions
-    stats.correct += correct
-    stats.confident += confident
-    stats.confident_correct += confident_correct
+    _add_stats(stats, n, n - unscored, correct, confident, confident_correct)
 
 
-def _train_stride(pred: StridePredictor, pcs, values) -> None:
-    """Update-only stride pass (HGVQ filler training; no scoring)."""
-    table = pred._table
-    data = table._data
-    dget = data.get
-    unlim = table.entries is None
-    emask = 0 if unlim else table.entries - 1
-    shift = table.pc_shift
-    two_delta = pred.two_delta
-    mask = WORD_MASK
-    for pc, actual in zip(pcs, values):
-        idx = pc if unlim else (pc >> shift) & emask
-        e = dget(idx)
-        if e is None:
-            e = _StrideEntry()
-            e.last = actual
-            e.seen = 1
-            data[idx] = e
-        elif e.seen == 0:
-            e.last = actual
-            e.seen = 1
-        else:
-            delta = (actual - e.last) & mask
-            if two_delta:
-                if delta == e.candidate:
-                    e.stride = delta
-                e.candidate = delta
-            else:
-                e.stride = delta
-            e.last = actual
-            e.seen += 1
-    table.accesses += len(pcs)
-
-
-def _last_value_pairs(pred: LastValuePredictor, pcs, values, stats,
+def _last_value_pairs(pred: LastValuePredictor, pcs, values, groups, stats,
                       conf) -> None:
-    """Fused last-value kernel (the table dict is the whole state)."""
+    """Fused last-value kernel, row by row (also the HGVQ filler's
+    training pass)."""
     table = pred._table
     data = table._data
     dget = data.get
-    unlim = table.entries is None
-    emask = 0 if unlim else table.entries - 1
-    shift = table.pc_shift
-    n = len(pcs)
+    vals = list(values)
+    n = len(vals)
 
-    gated, cdata, cunlim, cmask, cshift, cthr, cup, cdown, cmax = \
-        _conf_locals(conf)
-    cget = cdata.get if gated else None
-
-    predictions = correct = confident = confident_correct = 0
-    for pc, actual in zip(pcs, values):
-        idx = pc if unlim else (pc >> shift) & emask
-        predicted = dget(idx)
-        if predicted is not None:
-            predictions += 1
-            if gated:
-                slot = pc if cunlim else (pc >> cshift) & cmask
-                cur = cget(slot, 0)
-                if predicted == actual:
-                    correct += 1
+    gated = conf is not None
+    if gated:
+        gate = _Gate(conf)
+        cthr, cup, cdown, cmax = (gate.threshold, gate.up, gate.down,
+                                  gate.max_value)
+    unscored = correct = confident = confident_correct = 0
+    for key, pc, idxs in _table_runs(groups, table.entries, table.pc_shift):
+        prev = dget(key)
+        if prev is None:  # the row's first value: not scored
+            prev = vals[idxs[0]]
+            idxs = idxs[1:]
+            unscored += 1
+        if gated:
+            cur, cfirst = gate.open(pc)
+            if cfirst < 0 and idxs:
+                cfirst = idxs[0]
+        for i in idxs:
+            actual = vals[i]
+            if actual == prev:
+                correct += 1
+                if gated:
                     if cur >= cthr:
                         confident += 1
                         confident_correct += 1
                     cur += cup
                     if cur > cmax:
                         cur = cmax
-                else:
-                    if cur >= cthr:
-                        confident += 1
-                    cur -= cdown
-                    if cur < 0:
-                        cur = 0
-                cdata[slot] = cur
-            elif predicted == actual:
-                correct += 1
-        data[idx] = actual
+            elif gated:
+                if cur >= cthr:
+                    confident += 1
+                cur -= cdown
+                if cur < 0:
+                    cur = 0
+            prev = actual
+        if gated:
+            gate.close(pc, cur, cfirst)
+        data[key] = prev
+    if gated:
+        gate.finish()
     table.accesses += n
-    stats.attempts += n
-    stats.predictions += predictions
-    stats.correct += correct
-    stats.confident += confident
-    stats.confident_correct += confident_correct
+    _add_stats(stats, n, n - unscored, correct, confident, confident_correct)
 
 
-def _train_last_value(pred: LastValuePredictor, pcs, values) -> None:
-    """Update-only last-value pass (HGVQ filler training)."""
-    table = pred._table
-    data = table._data
-    unlim = table.entries is None
-    emask = 0 if unlim else table.entries - 1
-    shift = table.pc_shift
-    for pc, actual in zip(pcs, values):
-        data[pc if unlim else (pc >> shift) & emask] = actual
-    table.accesses += len(pcs)
+def _dfcm_pairs(pred: DFCMPredictor, pcs, values, groups, stats,
+                conf) -> None:
+    """Fused DFCM kernel: a row pass, then one trace-order level-2 pass.
 
-
-def _dfcm_pairs(pred: DFCMPredictor, pcs, values, stats, conf) -> None:
-    """Fused DFCM kernel.
-
-    Two structural savings over the object path: the second-level context
-    hash is computed once per pair (``predict`` and ``update`` fold the
-    same pre-append stride context, so the update reuses the predict's
-    key), and the fold itself is maintained as a *rolling* hash.  With
-    ``H = fold(salt, [v1..vk])`` the next context's hash is
+    The row pass runs each first-level row's pairs with ``last``, the
+    stride history and the context hash in locals, and records per pair
+    the level-2 key its context hashes to (-1 while the context is
+    shorter than *order*) and the stride it trains.  The hash is a
+    *rolling* fold: with ``H = fold(salt, [v1..vk])`` the next context's
+    hash is
 
         ``H' = H*M + v_new - v1*M^k + salt*(M^k - M^{k+1})  (mod 2^64)``
 
-    — two multiplies instead of *order*, exact (no approximation, so the
-    second-level keys stay bit-identical to the object path's).  The cache
-    is keyed by table slot and validated against the accessing PC, so
-    first-level aliasing falls back to a full fold.
+    — two multiplies instead of *order*, exact (the second-level keys stay
+    bit-identical to the object path's).  Each run starts with a full
+    fold, salted with its PC.  The trace-order pass then reads, writes and
+    scores ``_l2`` (and gates) in the order the object path does.
     """
     l1 = pred._l1
     data = l1._data
     dget = data.get
-    unlim = l1.entries is None
-    emask = 0 if unlim else l1.entries - 1
-    shift = l1.pc_shift
     l2 = pred._l2
     l2get = l2.get
     l2e = pred.l2_entries
     order = pred.order
     hmul = _HASH_MULT
     mask = WORD_MASK
-    n = len(pcs)
+    vals = list(values)
+    n = len(vals)
     hmul_k = pow(hmul, order, 1 << 64)
     # salt coefficient of the roll: salt * (M^k - M^(k+1)) mod 2^64
     cmul = (hmul_k - hmul_k * hmul) & mask
-    hcache = {}  # slot -> (pc, rolling hash, salt term); kernel-local
-    hget = hcache.get
+    keys = [-1] * n
+    strides = [0] * n
 
-    gated, cdata, cunlim, cmask, cshift, cthr, cup, cdown, cmax = \
-        _conf_locals(conf)
-    cget = cdata.get if gated else None
-
-    predictions = correct = confident = confident_correct = 0
-    for pc, actual in zip(pcs, values):
-        idx = pc if unlim else (pc >> shift) & emask
-        e = dget(idx)
-        predicted = None
-        key = -1
-        if e is not None:
-            strides = e.strides
-            if len(strides) >= order:
-                cached = hget(idx)
-                if cached is not None and cached[0] == pc:
-                    h = cached[1]
-                    csalt = cached[2]
-                else:
-                    h = pc & mask
-                    for v in strides:
-                        h = (h * hmul + v) & mask
-                    csalt = (pc * cmul) & mask
-                key = h % l2e
-                stride = l2get(key)
-                if stride is not None:
-                    predicted = (e.last + stride) & mask
-        if predicted is not None:
-            predictions += 1
-            if gated:
-                slot = pc if cunlim else (pc >> cshift) & cmask
-                cur = cget(slot, 0)
-                if predicted == actual:
-                    correct += 1
-                    if cur >= cthr:
-                        confident += 1
-                        confident_correct += 1
-                    cur += cup
-                    if cur > cmax:
-                        cur = cmax
-                else:
-                    if cur >= cthr:
-                        confident += 1
-                    cur -= cdown
-                    if cur < 0:
-                        cur = 0
-                cdata[slot] = cur
-            elif predicted == actual:
-                correct += 1
+    # -- row pass.  An entry never seen has no strides (only an update
+    # appends, and it marks the entry seen first).
+    for key, pc, idxs in _table_runs(groups, l1.entries, l1.pc_shift):
+        e = dget(key)
         if e is None:
-            e = _DFCMEntry()
-            e.last = actual
-            e.seen = 1
-            data[idx] = e
-        elif e.seen == 0:
-            e.last = actual
-            e.seen = 1
-        else:
-            stride = (actual - e.last) & mask
-            strides = e.strides
+            e = data[key] = _DFCMEntry()
+        it = iter(idxs)
+        if e.seen:
+            e.seen += len(idxs)
+            last = e.last
+        else:  # the row's first value
+            e.seen = len(idxs)
+            last = vals[next(it)]
+        hist = list(e.strides)  # the row's strides; the last `order` are
+        p = len(hist)           # the context, p of them so far
+        if p < order:  # warm-up: no context to predict from yet
+            for i in it:
+                actual = vals[i]
+                hist.append((actual - last) & mask)
+                last = actual
+                p += 1
+                if p == order:
+                    break
+        if p == order:
+            h = pc & mask
+            for v in hist[p - order:]:
+                h = (h * hmul + v) & mask
+            csalt = (pc * cmul) & mask
+            j = p - order  # the context's oldest stride
+            for i in it:
+                actual = vals[i]
+                w = (actual - last) & mask
+                keys[i] = h % l2e
+                strides[i] = w
+                h = (h * hmul + w - hist[j] * hmul_k + csalt) & mask
+                hist.append(w)
+                j += 1
+                last = actual
+        e.last = last
+        e.strides[:] = hist[-order:]
+
+    # -- level-2 pass, in trace order: a prediction is last + L2[key], so
+    # it is right exactly when the stored stride equals the one trained.
+    predictions = correct = confident = confident_correct = 0
+    if conf is None:
+        for key, w in zip(keys, strides):
             if key >= 0:
-                l2[key] = stride
-                hcache[idx] = (pc,
-                               (h * hmul + stride - strides[0] * hmul_k
-                                + csalt) & mask,
-                               csalt)
-            strides.append(stride)
-            if len(strides) > order:
-                strides.pop(0)
-            e.last = actual
-            e.seen += 1
+                s = l2get(key)
+                if s is not None:
+                    predictions += 1
+                    if s == w:
+                        correct += 1
+                l2[key] = w
+    else:
+        cdata = conf._table._data
+        cget = cdata.get
+        cthr = conf.threshold
+        cup = conf.up
+        cdown = conf.down
+        cmax = conf.max_value
+        for pc, key, w in zip(pcs, keys, strides):
+            if key >= 0:
+                s = l2get(key)
+                if s is not None:
+                    predictions += 1
+                    cur = cget(pc, 0)
+                    if s == w:
+                        correct += 1
+                        if cur >= cthr:
+                            confident += 1
+                            confident_correct += 1
+                        cur += cup
+                        if cur > cmax:
+                            cur = cmax
+                    else:
+                        if cur >= cthr:
+                            confident += 1
+                        cur -= cdown
+                        if cur < 0:
+                            cur = 0
+                    cdata[pc] = cur
+                l2[key] = w
     l1.accesses += n
-    stats.attempts += n
-    stats.predictions += predictions
-    stats.correct += correct
-    stats.confident += confident
-    stats.confident_correct += confident_correct
+    _add_stats(stats, n, predictions, correct, confident, confident_correct)

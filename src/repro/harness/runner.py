@@ -13,9 +13,10 @@ value-producing ``(pc, value)`` (and load ``(pc, addr)``) streams as
 precomputed columns, so an un-instrumented profile run walks two flat
 arrays per predictor instead of dereferencing one dataclass per dynamic
 instruction.  Predictors with a fused kernel (see
-:mod:`repro.core.kernels`) skip even the per-pair predict/update calls;
-the rest use the tight per-predictor loops below.  All fast paths perform
-*identical* accounting to the generic loop — same
+:mod:`repro.core.kernels`, which runs each table row's pairs together,
+off the trace view's cached per-PC grouping) skip even the per-pair
+predict/update calls; the rest use the tight per-predictor loops below.
+All fast paths perform *identical* accounting to the generic loop — same
 :class:`PredictionStats` to the last counter (asserted by
 ``tests/test_packed.py`` and ``tests/test_kernel_equivalence.py``).  The
 generic loop walks ``Instruction`` objects: it runs whenever telemetry,
@@ -108,14 +109,17 @@ def run_value_prediction(
     if (metrics is None and events is None and on_progress is None
             and hasattr(trace, "value_pairs")):
         pcs, values = trace.value_pairs()
+        groups = trace.value_groups()
         if not gated:
             for name, predictor in predictors.items():
-                if not _kernel_pairs(predictor, pcs, values, stats[name]):
+                if not _kernel_pairs(predictor, pcs, values, stats[name],
+                                     groups=groups):
                     _profile_pairs(predictor, pcs, values, stats[name])
             return stats
         for name, predictor in predictors.items():
             conf = ConfidenceTable()
-            if not _kernel_pairs(predictor, pcs, values, stats[name], conf):
+            if not _kernel_pairs(predictor, pcs, values, stats[name], conf,
+                                 groups=groups):
                 _gated_pairs(predictor, conf, pcs, values, stats[name])
         return stats
     confidence = {name: ConfidenceTable() if gated else None for name in predictors}
@@ -293,16 +297,18 @@ def run_address_prediction(
     if hasattr(trace, "load_pairs"):
         if miss_filter is None:
             pcs, addrs = trace.load_pairs()
+            groups = trace.load_groups()
         else:
             pcs, addrs = [], []
+            groups = None  # plain columns: run_pairs groups them itself
             for insn in trace.loads():
                 if miss_filter(insn):
                     pcs.append(insn.pc)
                     addrs.append(insn.addr)
         for name, predictor in predictors.items():
             conf = confidence[name]
-            if conf is None or not _kernel_pairs(predictor, pcs, addrs,
-                                                 stats[name], conf):
+            if conf is None or not _kernel_pairs(
+                    predictor, pcs, addrs, stats[name], conf, groups=groups):
                 _address_pairs(predictor, conf, pcs, addrs, stats[name])
         return stats
     items = list(predictors.items())

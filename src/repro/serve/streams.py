@@ -38,6 +38,7 @@ from ..predictors.confidence import ConfidenceTable
 from ..predictors.dfcm import DFCMPredictor
 from ..predictors.last_value import LastValuePredictor
 from ..predictors.stride import StridePredictor
+from ..trace.packed import pc_groups
 from .snapshot import (
     SnapshotError,
     discard,
@@ -339,6 +340,9 @@ class PairColumns:
 
     def value_pairs(self):
         return self._pcs, self._values
+
+    def value_groups(self):
+        return pc_groups(self._pcs)
 
     def __len__(self) -> int:
         return len(self._pcs)

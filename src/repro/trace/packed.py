@@ -5,7 +5,8 @@ A :class:`PackedTrace` stores one column per instruction field in parallel
 dataclasses.  A 100K-instruction trace shrinks from tens of megabytes of
 Python objects to a few flat buffers, slicing is a zero-copy view over the
 shared columns, and the profile runners can walk precomputed
-``(pc, value)`` / ``(pc, addr)`` column pairs instead of performing
+``(pc, value)`` / ``(pc, addr)`` column pairs — and the fused kernels
+their cached per-PC groupings (:func:`pc_groups`) — instead of performing
 per-instruction attribute and property lookups.
 
 Field encoding (one entry per dynamic instruction):
@@ -215,6 +216,30 @@ def instructions(rows: Iterable[Row]) -> Iterator[Instruction]:
         )
 
 
+def pc_groups(pcs) -> Dict[int, List[int]]:
+    """The pair indices of each PC in the column *pcs*: PC -> ascending
+    positions, PCs in first-appearance order.
+
+    The grouping the fused kernels (:mod:`repro.core.kernels`) run a
+    table's rows by.
+    """
+    groups: Dict[int, List[int]] = {}
+    get = groups.get
+    for i, pc in enumerate(pcs):
+        idxs = get(pc)
+        if idxs is None:
+            groups[pc] = [i]
+        else:
+            idxs.append(i)
+    return groups
+
+
+def _compact_groups(pcs) -> Dict[int, array]:
+    """:func:`pc_groups` with each PC's positions as an ``array('I')``
+    (4 bytes a pair), for a grouping kept as long as its trace view."""
+    return {pc: array("I", idxs) for pc, idxs in pc_groups(pcs).items()}
+
+
 class PackedTrace:
     """A materialised trace in packed structure-of-arrays form.
 
@@ -225,7 +250,8 @@ class PackedTrace:
     """
 
     __slots__ = ("name", "_cols", "_start", "_stop", "_stats",
-                 "_value_cache", "_load_cache")
+                 "_value_cache", "_load_cache", "_value_groups",
+                 "_load_groups")
 
     def __init__(self, columns: Dict[str, array], name: str = "trace",
                  start: int = 0, stop: Optional[int] = None):
@@ -240,6 +266,8 @@ class PackedTrace:
         self._stats: Optional[TraceStats] = None
         self._value_cache: Optional[Tuple[array, array]] = None
         self._load_cache: Optional[Tuple[array, array]] = None
+        self._value_groups: Optional[Dict[int, array]] = None
+        self._load_groups: Optional[Dict[int, array]] = None
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -314,6 +342,8 @@ class PackedTrace:
             view._stats = None
             view._value_cache = None
             view._load_cache = None
+            view._value_groups = None
+            view._load_groups = None
             return view
         return self.instruction_at(index)
 
@@ -409,6 +439,19 @@ class PackedTrace:
                     laddrs.append(addrs[i])
             self._load_cache = (lpcs, laddrs)
         return self._load_cache
+
+    def value_groups(self) -> Dict[int, array]:
+        """:func:`pc_groups` of :meth:`value_pairs`'s PCs (built on first
+        use and cached per view)."""
+        if self._value_groups is None:
+            self._value_groups = _compact_groups(self.value_pairs()[0])
+        return self._value_groups
+
+    def load_groups(self) -> Dict[int, array]:
+        """:func:`pc_groups` of :meth:`load_pairs`'s PCs (cached per view)."""
+        if self._load_groups is None:
+            self._load_groups = _compact_groups(self.load_pairs()[0])
+        return self._load_groups
 
     def columns(self) -> Dict[str, array]:
         """The raw columns restricted to this view (copied iff a sub-view)."""

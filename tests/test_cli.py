@@ -53,6 +53,28 @@ class TestParser:
         args = build_parser().parse_args(argv + ["1"])
         assert 1 in (args.length, getattr(args, "code_copies", None))
 
+    #: Every command taking a worker count.
+    JOBS_ARGS = [
+        ["run-all", "--jobs"],
+        ["campaign", "run", "spec.toml", "--jobs"],
+        ["campaign", "resume", "camp", "--jobs"],
+    ]
+
+    @pytest.mark.parametrize("argv", JOBS_ARGS,
+                             ids=lambda argv: " ".join(argv))
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_rejects_non_positive_jobs(self, argv, value, capsys):
+        # A count below 1 used to run serially while the log said "auto".
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [value])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", JOBS_ARGS,
+                             ids=lambda argv: " ".join(argv))
+    def test_accepts_positive_jobs(self, argv):
+        assert build_parser().parse_args(argv + ["1"]).jobs == 1
+
 
 class TestCommands:
     def test_list(self, capsys):

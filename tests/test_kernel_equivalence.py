@@ -18,7 +18,12 @@ import pytest
 from repro.core import GDiffPredictor, GDiffTable, HybridGDiffPredictor
 from repro.core.gvq import GlobalValueQueue
 from repro.core.kernels import kernels_enabled, run_pairs
-from repro.harness.runner import run_value_prediction
+from repro.harness import runner
+from repro.harness.runner import (
+    _gated_pairs,
+    _profile_pairs,
+    run_value_prediction,
+)
 from repro.predictors import (
     DFCMPredictor,
     LastValuePredictor,
@@ -26,6 +31,8 @@ from repro.predictors import (
 )
 from repro.predictors.base import ConstantPredictor, PredictionStats
 from repro.predictors.confidence import ConfidenceTable
+from repro.predictors.dfcm import _DFCMEntry
+from repro.predictors.stride import _StrideEntry
 from repro.trace.isa import ialu
 from repro.trace.packed import PackedTrace
 from repro.wordops import WORD_MASK, wsub
@@ -43,7 +50,12 @@ def random_pairs(seed, length):
     pure noise over the full 64-bit range.
     """
     rng = random.Random(seed)
+    # Twelve PCs in distinct slots, then four that share a slot of every
+    # bounded table under test (64 and 128 entries, pc_shift 2) with the
+    # first twelve (slot 3 three ways), so tagless rows alias.
     pcs = [0x400000 + 4 * i for i in range(12)]
+    pcs += [0x400000 + 4 * (256 * k + slot)
+            for k, slot in ((1, 3), (2, 6), (3, 9), (4, 3))]
     state = {pc: rng.randrange(1 << 64) for pc in pcs}
     strides = {pc: rng.choice(
         [1, 8, 0, (1 << 63) - 1, (1 << 64) - 8, (1 << 62) + 3]
@@ -113,26 +125,86 @@ PREDICTOR_FACTORIES = {
 }
 
 
+def _gdiff_rows(table):
+    """Every written row of a flat gDiff table, in the table's own order:
+    key, distance, the valid differences and the aliasing owner."""
+    order = table.order
+    if table.entries is None:
+        keyed = list(table._rows.items())
+    else:
+        keyed = [(idx, idx) for idx in range(table.entries)
+                 if table._present[idx]]
+    rows = []
+    for key, row in keyed:
+        valid = table._valid[row]
+        base = row * order
+        owner = table._owner[row] if table._owner_set[row] else None
+        rows.append((key, table._dist[row], valid,
+                     list(table._diffs[base:base + valid]), owner))
+    return rows
+
+
+def _local_entries(table):
+    """A local predictor's table contents, in dict insertion order."""
+    out = []
+    for idx, entry in table._data.items():
+        if isinstance(entry, _StrideEntry):
+            entry = (entry.last, entry.stride, entry.candidate, entry.seen,
+                     entry.spec_ahead)
+        elif isinstance(entry, _DFCMEntry):
+            entry = (entry.last, list(entry.strides), entry.seen)
+        out.append((idx, entry))
+    return out
+
+
 def end_state(predictor):
-    """Observable predictor state the two paths must agree on."""
+    """Observable predictor state the two paths must agree on, with every
+    dict compared in insertion order."""
     state = {}
     table = getattr(predictor, "table", None)
     if table is not None:  # gdiff variants
         state["accesses"] = table.accesses
         state["conflicts"] = table.conflicts
         state["occupied"] = table.occupied()
-        state["locked"] = sorted(table.locked_distances().items())
+        state["locked"] = list(table.locked_distances().items())
+        state["rows"] = _gdiff_rows(table)
         state["last_distance"] = predictor.last_distance
     queue = getattr(predictor, "queue", None)
     if isinstance(queue, GlobalValueQueue):
         state["window"] = queue.visible()
+        state["queue"] = (list(queue._buf), queue._count, queue._vmask)
+    elif queue is not None:
+        state["queue"] = (list(queue._buf), queue._next_seq)
     for attr in ("_table", "_l1"):
         inner = getattr(predictor, attr, None)
         if inner is not None:
             state[attr + ".accesses"] = inner.accesses
+            state[attr] = _local_entries(inner)
     if isinstance(predictor, DFCMPredictor):
-        state["l2"] = sorted(predictor._l2.items())
+        state["l2"] = list(predictor._l2.items())
+    filler = getattr(predictor, "filler", None)
+    if filler is not None and hasattr(filler, "_table"):
+        state["filler.accesses"] = filler._table.accesses
+        state["filler"] = _local_entries(filler._table)
     return state
+
+
+def _capture_gates(monkeypatch):
+    """Make the harness's ``ConfidenceTable()`` calls observable: returns
+    the list every gate it builds is appended to (still the exact type,
+    so the kernels accept it)."""
+    gates = []
+
+    def make():
+        gates.append(ConfidenceTable())
+        return gates[-1]
+
+    monkeypatch.setattr(runner, "ConfidenceTable", make)
+    return gates
+
+
+def gate_state(gates):
+    return [list(gate._table._data.items()) for gate in gates]
 
 
 def run_both(factory, pairs, monkeypatch, gated):
@@ -140,9 +212,11 @@ def run_both(factory, pairs, monkeypatch, gated):
     results = {}
     for flag in ("0", "1"):
         monkeypatch.setenv("REPRO_KERNELS", flag)
+        gates = _capture_gates(monkeypatch)
         predictor = factory()
         stats = run_value_prediction(trace, {"p": predictor}, gated=gated)
-        results[flag] = (stats_tuple(stats["p"]), end_state(predictor))
+        results[flag] = (stats_tuple(stats["p"]), end_state(predictor),
+                         gate_state(gates))
     return results
 
 
@@ -234,7 +308,71 @@ def test_run_pairs_declines_unmodelled_shapes(monkeypatch):
 
     assert run_pairs(GDiffPredictor(order=4), pcs, values, stats,
                      OddGate(entries=64)) is False
+    # A bounded gate shares counters between PCs of different rows.
+    for predictor in (GDiffPredictor(order=4), StridePredictor(),
+                      DFCMPredictor()):
+        assert run_pairs(predictor, pcs, values, stats,
+                         ConfidenceTable(entries=64)) is False
     assert stats.attempts == 0
+
+
+def test_last_distance_is_the_last_pairs_selection(monkeypatch):
+    """A hit on the locked distance after a row's mismatches: the call's
+    last pair selects that distance again, whatever the row's scans
+    selected before it."""
+    rng = random.Random(7)
+    pairs = []
+    for k in range(12):
+        b = rng.randrange(1 << 64)
+        # A follows B at distance 1 (a glitch at k == 9 misses twice)
+        a = rng.randrange(1 << 64) if k == 9 else (b + 5) & WORD_MASK
+        pairs += [(0x400000, b), (0x400004, a)]
+    for flag in ("0", "1"):
+        monkeypatch.setenv("REPRO_KERNELS", flag)
+        predictor = GDiffPredictor(order=4, entries=None)
+        stats = run_value_prediction(packed_from_pairs(pairs),
+                                     {"p": predictor})
+        assert predictor.last_distance == 1, flag
+        assert stats["p"].correct == 8, flag
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: GDiffPredictor(order=8, entries=None),
+    lambda: HybridGDiffPredictor(order=4, entries=None),
+], ids=["gdiff8", "hgvq4"])
+def test_unlimited_table_grows_mid_run(factory, monkeypatch):
+    """More PCs than the unlimited table's initial 256 rows: the arena
+    doubles while rows are being created, on both paths."""
+    rng = random.Random(11)
+    pcs = [0x400000 + 4 * i for i in range(600)]
+    pairs = []
+    value = 0
+    for k in range(2400):
+        pc = pcs[k % 600] if k % 2 else pcs[rng.randrange(600)]
+        value = (value + 8) & WORD_MASK if rng.random() < 0.6 \
+            else rng.randrange(1 << 64)
+        pairs.append((pc, value))
+    results = run_both(factory, pairs, monkeypatch, gated=True)
+    assert results["0"] == results["1"]
+    assert len(results["1"][1]["rows"]) > 256
+
+
+def test_stride_kernel_scales_by_spec_ahead(monkeypatch):
+    """Speculative updates a pipeline left outstanding (``spec_ahead``)
+    scale the stride prediction on both paths."""
+    pairs = random_pairs(6, 600)
+    results = {}
+    for flag in ("0", "1"):
+        monkeypatch.setenv("REPRO_KERNELS", flag)
+        predictor = StridePredictor(entries=64)
+        run_value_prediction(packed_from_pairs(pairs[:200]), {"p": predictor})
+        for pc, _value in pairs[:60:3]:
+            predictor.speculative_update(pc)
+        stats = run_value_prediction(packed_from_pairs(pairs[200:]),
+                                     {"p": predictor}, gated=True)
+        results[flag] = (stats_tuple(stats["p"]), end_state(predictor))
+    assert results["0"] == results["1"]
+    assert any(entry[1][4] for entry in results["1"][1]["_table"])
 
 
 def test_kernel_state_supports_chained_runs(monkeypatch):
@@ -260,7 +398,15 @@ CHAINED_FACTORIES = {
     "gdiff32-delay2": lambda: GDiffPredictor(order=32, entries=64, delay=2,
                                              track_conflicts=True),
     "hgvq32": lambda: HybridGDiffPredictor(order=32, entries=None),
+    # The local families serve runs frame by frame.
+    "stride-bounded": lambda: StridePredictor(entries=64),
+    "last-value": lambda: LastValuePredictor(entries=None),
+    "dfcm-bounded": lambda: DFCMPredictor(order=2, l1_entries=64,
+                                          l2_entries=256),
 }
+
+#: Chained chunk sizes: shorter and longer than every queue.
+CHUNKS = (2, 12, 40, 530, 5, 31, 300, 33)
 
 
 @pytest.mark.parametrize("name", sorted(CHAINED_FACTORIES))
@@ -275,22 +421,59 @@ def test_kernel_chained_runs_read_the_ring_prefix(name, gated, monkeypatch):
     (the HGVQ's 512 included), so each kernel run reads its window's
     oldest words from the ring prefix placed ahead of the chunk's values.
     """
-    chunks = (2, 12, 40, 530, 5, 31, 300, 33)
-    pairs = random_pairs(4, sum(chunks))
+    pairs = random_pairs(4, sum(CHUNKS))
     results = {}
     for flag in ("0", "1"):
         monkeypatch.setenv("REPRO_KERNELS", flag)
+        gates = _capture_gates(monkeypatch)
         predictor = CHAINED_FACTORIES[name]()
         per_chunk = []
         start = 0
-        for size in chunks:
+        for size in CHUNKS:
             trace = packed_from_pairs(pairs[start:start + size])
             stats = run_value_prediction(trace, {"p": predictor},
                                          gated=gated)
-            per_chunk.append(stats_tuple(stats["p"]))
+            per_chunk.append((stats_tuple(stats["p"]),
+                              getattr(predictor, "last_distance", None)))
             start += size
-        results[flag] = (per_chunk, end_state(predictor))
+        results[flag] = (per_chunk, end_state(predictor), gate_state(gates))
     assert results["0"] == results["1"]
+
+
+@pytest.mark.parametrize("name", sorted(CHAINED_FACTORIES))
+@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+def test_kernel_frames_match_the_object_loops(name, gated, monkeypatch):
+    """Serve's shape: plain-list frames, one gate kept across them.
+
+    ``run_pairs`` on each frame (it builds the frame's grouping itself)
+    against the harness's object loops on the same frames, with the stats
+    accumulated and the gate's counters carried from frame to frame.
+    """
+    monkeypatch.setenv("REPRO_KERNELS", "1")
+    pairs = random_pairs(5, sum(CHUNKS))
+    results = {}
+    for side in ("object", "kernel"):
+        predictor = CHAINED_FACTORIES[name]()
+        conf = ConfidenceTable() if gated else None
+        stats = PredictionStats()
+        per_frame = []
+        start = 0
+        for size in CHUNKS:
+            frame = pairs[start:start + size]
+            pcs = [pc for pc, _ in frame]
+            values = [value for _, value in frame]
+            if side == "kernel":
+                assert run_pairs(predictor, pcs, values, stats, conf)
+            elif gated:
+                _gated_pairs(predictor, conf, pcs, values, stats)
+            else:
+                _profile_pairs(predictor, pcs, values, stats)
+            per_frame.append((stats_tuple(stats),
+                              getattr(predictor, "last_distance", None)))
+            start += size
+        results[side] = (per_frame, end_state(predictor),
+                         gate_state([conf] if gated else []))
+    assert results["object"] == results["kernel"]
 
 
 def _registry_kwargs(name):

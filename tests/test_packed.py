@@ -218,3 +218,21 @@ class TestRunnerEquivalence:
         pcs, addrs = packed.load_pairs()
         expected = [(i.pc, i.addr) for i in trace if i.op is OpClass.LOAD]
         assert list(zip(pcs, addrs)) == expected
+
+    @pytest.mark.parametrize("pairs, groups", [
+        ("value_pairs", "value_groups"),
+        ("load_pairs", "load_groups"),
+    ])
+    def test_groups_index_each_pc_in_first_appearance_order(self, pairs,
+                                                           groups):
+        packed = PackedTrace.from_instructions(generated("gcc", 3000))
+        for view in (packed, packed[700:2100]):
+            pcs = getattr(view, pairs)()[0]
+            grouped = getattr(view, groups)()
+            assert list(grouped) == list(dict.fromkeys(pcs))
+            expected = {}
+            for i, pc in enumerate(pcs):
+                expected.setdefault(pc, []).append(i)
+            assert {pc: list(idxs) for pc, idxs in grouped.items()} \
+                == expected
+            assert getattr(view, groups)() is grouped  # cached per view
