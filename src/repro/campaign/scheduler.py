@@ -16,14 +16,23 @@ quarantined (a record with the traceback) — while guaranteeing:
   worker* and returned as data, retried with capped exponential backoff,
   and finally quarantined — one broken configuration cannot abort the
   other cells.  A worker that dies outright (segfault, OOM-kill) takes
-  only itself down: the persistent pool replaces the dead worker in
-  place and the scheduler re-tries only the casualties, so a poisoned
-  cell eventually lands in quarantine while its siblings complete.
+  only the task it was running down: the persistent pool replaces the
+  dead worker in place, requeues the rest of its batch, and the
+  scheduler re-tries only the casualties, so a poisoned cell eventually
+  lands in quarantine while its siblings complete.
 * **Determinism**: a worker computes exactly what a direct
   :func:`~repro.harness.experiments.run_experiment` /
   :func:`~repro.harness.runner.run_value_prediction` call computes — same
   functions, fresh state — so campaign records equal direct harness
   results (asserted by ``tests/test_campaign.py``).
+
+Cells share work without sharing results.  Predict cells that differ only
+in ``gated`` (*siblings*) form one task whose predictor runs once, gated:
+the confidence gate never trains the predictor, so that run's raw
+counters are exactly the ungated cell's stats.  The tasks whose cells
+read one trace go to one worker as one pool batch, so each trace is
+attached and grouped once per round; the worker still replies task by
+task, and every cell keeps its own record.
 
 The trace cache is warmed once up front (unique ``(bench, length, seed,
 code_copies)`` tuples across the whole grid) so workers start from warm
@@ -37,6 +46,7 @@ from __future__ import annotations
 import functools
 import time
 import traceback
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -45,7 +55,7 @@ from ..harness.parallel import TASK_OK, default_workers, run_tasks
 from ..telemetry import MetricsRegistry, RunManifest, get_logger
 from ..trace import shm
 from ..trace.cache import cache_enabled, default_cache, effective_length
-from .spec import Cell, CampaignSpec
+from .spec import Cell, CampaignSpec, canonical_json
 from .store import CampaignStore
 
 log = get_logger("repro.campaign.scheduler")
@@ -83,9 +93,28 @@ class CampaignRunSummary:
         return self.total - self.completed - self.skipped - self.quarantined
 
 
+def _trace_key(params: Dict[str, Any]) -> Tuple[str, int, Optional[int], int]:
+    """The ``(bench, length, seed, code_copies)`` trace a predict cell
+    reads."""
+    return (params["bench"], params.get("length", 100_000),
+            params.get("seed"), params.get("code_copies", 1))
+
+
+def _sibling_key(params: Dict[str, Any]) -> str:
+    """A predict cell's parameters but ``gated``: cells with one key are
+    siblings, whose predictor runs make the same predictions."""
+    return canonical_json({k: v for k, v in params.items() if k != "gated"})
+
+
 # ---------------------------------------------------------------------------
 # Worker side (subprocess): everything below must be picklable/importable.
 # ---------------------------------------------------------------------------
+#: The predictor runs the cells of the current sibling task share, by
+#: sibling key; ``None`` outside such a task.
+_SHARED_RUNS: ContextVar[Optional[Dict[str, Any]]] = ContextVar(
+    "campaign_shared_runs", default=None)
+
+
 def _make_predictor(params: Dict[str, Any]):
     """Build the predictor of a ``predict`` cell from its axes."""
     from ..core.gdiff import GDiffPredictor
@@ -145,11 +174,39 @@ def _cell_telemetry(registry: MetricsRegistry, duration_s: float,
     }
 
 
+def _predict(trace, params: Dict[str, Any]) -> Dict[str, Any]:
+    """A predict cell's ``{predictor: PredictionStats}``.
+
+    Inside a sibling task the predictor runs once, gated, for the first
+    sibling; the others reuse that run.  A gated cell takes its stats
+    whole, an ungated one its raw counters, which are the ungated run's
+    because the gate never trains the predictor
+    (``tests/test_kernel_equivalence.py`` pins that).
+    """
+    from ..harness.runner import run_value_prediction
+    from ..predictors.base import PredictionStats
+
+    name = params["predictor"]
+    gated = bool(params.get("gated", False))
+    shared = _SHARED_RUNS.get()
+    if shared is None:
+        return run_value_prediction(trace, {name: _make_predictor(params)},
+                                    gated=gated)
+    key = _sibling_key(params)
+    run = shared.get(key)
+    if run is None:
+        run = shared[key] = run_value_prediction(
+            trace, {name: _make_predictor(params)}, gated=True)[name]
+    if gated:
+        return {name: run}
+    return {name: PredictionStats(run.attempts, run.predictions,
+                                  run.correct)}
+
+
 def _execute_cell(config: Dict[str, Any],
                   span_ctx: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Run one cell to completion and return its record payload."""
     from ..harness.experiments import run_experiment
-    from ..harness.runner import run_value_prediction
     from ..trace.cache import cached_trace
 
     registry = MetricsRegistry()
@@ -171,15 +228,13 @@ def _execute_cell(config: Dict[str, Any],
                                  seed=params.get("seed"),
                                  code_copies=params.get("code_copies", 1),
                                  metrics=registry)
-            predictor = _make_predictor(params)
             # No metrics/events are threaded into the harness here: a
             # registry would force the per-pair object path, and campaign
-            # predict cells must stay on the fused kernels (PR 3).  The
-            # phase's item count carries the throughput denominator.
+            # predict cells must stay on the fused kernels.  The phase's
+            # item count carries the throughput denominator, also for a
+            # cell that reuses its sibling's run.
             with registry.timer("predict") as span:
-                stats = run_value_prediction(
-                    trace, {params["predictor"]: predictor},
-                    gated=bool(params.get("gated", False)))
+                stats = _predict(trace, params)
                 span.items = len(trace)
             payload = {"stats": {name: s.as_dict()
                                  for name, s in stats.items()}}
@@ -197,7 +252,7 @@ def _execute_cell(config: Dict[str, Any],
 
 def _cell_worker(config: Dict[str, Any],
                  span_ctx: Optional[Dict[str, Any]] = None) -> Tuple[str, Any]:
-    """Pool entry point: soft failures come back as data, never as an
+    """One cell's body: soft failures come back as data, never as an
     exception that would poison the pool."""
     try:
         return ("done", _execute_cell(config, span_ctx))
@@ -206,9 +261,61 @@ def _cell_worker(config: Dict[str, Any],
                 traceback.format_exc())
 
 
+def _run_task(cell_worker: Callable, span_ctx: Optional[Dict[str, Any]],
+              configs: List[Dict[str, Any]]) -> List[Tuple[str, Any]]:
+    """Pool entry point of one task: each cell through *cell_worker*, in
+    order, one outcome per cell.  The cells of a task of more than one
+    are siblings and share one predictor run (:func:`_predict`)."""
+    token = _SHARED_RUNS.set({} if len(configs) > 1 else None)
+    try:
+        return [cell_worker(config, span_ctx) for config in configs]
+    finally:
+        _SHARED_RUNS.reset(token)
+
+
 # ---------------------------------------------------------------------------
 # Driver side
 # ---------------------------------------------------------------------------
+def _plan_round(cells: List[Cell], workers: int
+                ) -> Tuple[List[List[int]], List[List[int]]]:
+    """Split a round's cells into tasks, and the tasks into pool batches.
+
+    A task is the predict cells of one sibling key, or one experiment
+    cell; it sits at its first cell's place in round order.  The tasks
+    whose cells read one trace are cut, in round order, into batches of
+    at most ⌈tasks / *workers*⌉, so a round with fewer traces than
+    workers still keeps every worker busy; an experiment cell's task is
+    a batch of its own.  Returns the tasks as lists of cell indices and
+    the batches as lists of task indices.
+    """
+    tasks: List[List[int]] = []
+    by_sibling: Dict[str, List[int]] = {}
+    for i, cell in enumerate(cells):
+        if cell.kind != "predict":
+            tasks.append([i])
+            continue
+        key = _sibling_key(cell.params)
+        if key not in by_sibling:
+            by_sibling[key] = []
+            tasks.append(by_sibling[key])
+        by_sibling[key].append(i)
+    cap = -(-len(tasks) // max(1, workers))
+    batches: List[List[int]] = []
+    by_trace: Dict[Tuple, List[int]] = {}
+    for t, task in enumerate(tasks):
+        cell = cells[task[0]]
+        if cell.kind != "predict":
+            batches.append([t])
+            continue
+        trace = _trace_key(cell.params)
+        batch = by_trace.get(trace)
+        if batch is None or len(batch) == cap:
+            batch = by_trace[trace] = []
+            batches.append(batch)
+        batch.append(t)
+    return tasks, batches
+
+
 class CampaignScheduler:
     """Drive a campaign's pending cells through the worker pool.
 
@@ -225,8 +332,9 @@ class CampaignScheduler:
         stop_after: execute at most this many new cells, then stop
             cleanly (used by the interrupt/resume tests and CI).
         warm: pre-populate the trace cache before the pool starts.
-        cell_worker: the pool entry point (overridable for fault
-            injection; the default runs the real cell body).
+        cell_worker: ``(config, span_ctx)`` -> outcome, the body each
+            task runs per cell (overridable for fault injection; the
+            default runs the real cell body).
     """
 
     def __init__(
@@ -239,7 +347,7 @@ class CampaignScheduler:
         on_progress: Optional[Callable[[int, int], None]] = None,
         stop_after: Optional[int] = None,
         warm: bool = True,
-        cell_worker: Callable[[Dict[str, Any]], Tuple[str, Any]] = _cell_worker,
+        cell_worker: Callable[..., Tuple[str, Any]] = _cell_worker,
     ):
         self.spec = spec
         self.store = store
@@ -266,9 +374,7 @@ class CampaignScheduler:
         for cell in cells:
             params = cell.params
             if cell.kind == "predict":
-                plan.add((params["bench"], params.get("length", 100_000),
-                          params.get("seed"),
-                          params.get("code_copies", 1)))
+                plan.add(_trace_key(params))
                 continue
             inputs = EXPERIMENT_INPUTS.get(params["experiment"])
             if inputs is None:
@@ -356,8 +462,7 @@ class CampaignScheduler:
         span_ctx = (self.registry.span_tracker.context()
                     if self.registry is not None
                     and self.registry.span_tracker is not None else None)
-        worker = (self.cell_worker if span_ctx is None else
-                  functools.partial(self.cell_worker, span_ctx=span_ctx))
+        run_task = functools.partial(_run_task, self.cell_worker, span_ctx)
 
         attempts: Dict[str, int] = {}
         round_no = 0
@@ -368,33 +473,35 @@ class CampaignScheduler:
                 if budget <= 0:
                     summary.stopped_early = True
                     break
-            batch, rest = pending[:budget], pending[budget:]
+            cells, rest = pending[:budget], pending[budget:]
             delay = self.retry.delay(round_no)
             if delay:
                 log.info("retry round %d: backing off %.2fs for %d "
-                         "cell(s)", round_no, delay, len(batch))
+                         "cell(s)", round_no, delay, len(cells))
                 time.sleep(delay)
             try:
                 requeue, any_failures = self._run_round(
-                    worker, batch, attempts, summary)
+                    run_task, cells, attempts, summary)
             finally:
                 self.store.write_index()
             pending = requeue + rest
             round_no = round_no + 1 if any_failures else round_no
         return summary
 
-    def _run_round(self, worker: Callable, batch: List[Cell],
+    def _run_round(self, run_task: Callable, cells: List[Cell],
                    attempts: Dict[str, int], summary: CampaignRunSummary
                    ) -> Tuple[List[Cell], bool]:
-        """Run one round — one ``run_tasks`` call — recording each cell
-        as its outcome arrives.
+        """Run one round — one ``run_tasks`` call over the round's tasks
+        and batches (:func:`_plan_round`) — recording each cell as its
+        task's outcome arrives.
 
-        Returns the cells to retry, in batch order, and whether any cell
+        Returns the cells to retry, in round order, and whether any cell
         failed.  A record that cannot be written (e.g. a full disk) is
-        raised once the round's in-flight cells have drained: raising
+        raised once the round's in-flight tasks have drained: raising
         inside ``run_tasks``' callback would look like a broken pool and
         re-run the round.
         """
+        tasks, batches = _plan_round(cells, self.max_workers)
         retry: List[int] = []
         failed = False
         handled: Set[int] = set()
@@ -407,7 +514,7 @@ class CampaignScheduler:
             if i in handled or errors:
                 return
             handled.add(i)
-            cell = batch[i]
+            cell = cells[i]
             status, value = outcome
             attempt = attempts.get(cell.cell_id, 0) + 1
             attempts[cell.cell_id] = attempt
@@ -449,17 +556,25 @@ class CampaignScheduler:
             except Exception as exc:
                 errors.append(exc)
 
+        def record_task(t: int, outcome: Tuple[str, Any]) -> None:
+            # A task that ran replies one outcome per cell; one that
+            # crashed charges each of its cells.
+            status, value = outcome
+            for k, i in enumerate(tasks[t]):
+                record(i, (status, value[k]) if status == TASK_OK
+                       else outcome)
+
         outcomes = run_tasks(
-            worker, [c.config() for c in batch],
+            run_task, [[cells[i].config() for i in task] for task in tasks],
             max_workers=self.max_workers, registry=self.registry,
-            on_result=record)
-        # ``run_tasks`` returns without a callback the cells it never
+            on_result=record_task, batches=batches)
+        # ``run_tasks`` returns without a callback the tasks it never
         # completed ("task never completed").
-        for i, outcome in enumerate(outcomes):
-            record(i, outcome)
+        for t, outcome in enumerate(outcomes):
+            record_task(t, outcome)
         if errors:
             raise errors[0]
-        return [batch[i] for i in sorted(retry)], failed
+        return [cells[i] for i in sorted(retry)], failed
 
     def _record_done(self, cell: Cell, outcome: Dict[str, Any],
                      attempt: int) -> None:

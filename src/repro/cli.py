@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Dict, List, Optional
@@ -1024,9 +1025,34 @@ def _sample_rate(text: str) -> float:
     return value
 
 
+def _seconds(text: str, allow_zero: bool) -> float:
+    """A finite number of seconds: at least 0 when *allow_zero*, else
+    above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(value)
+            and (value >= 0 if allow_zero else value > 0)):
+        bound = "at least 0" if allow_zero else "above 0"
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds {bound}, got {text}")
+    return value
+
+
+def _backoff_seconds(text: str) -> float:
+    """argparse type for ``--backoff``: finite seconds, 0 allowed."""
+    return _seconds(text, allow_zero=True)
+
+
+def _interval_seconds(text: str) -> float:
+    """argparse type for ``--interval``: finite seconds above 0."""
+    return _seconds(text, allow_zero=False)
+
+
 def _positive_int(text: str) -> int:
-    """argparse type for ``--length``, ``--code-copies`` and ``--jobs``:
-    an integer of at least 1."""
+    """argparse type for ``--length``, ``--code-copies``, ``--jobs``,
+    ``--max-attempts`` and ``--stop-after``: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -1234,14 +1260,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker processes (default: all cores; "
                             "1 = in-process)")
-        p.add_argument("--max-attempts", type=int, default=3,
+        p.add_argument("--max-attempts", type=_positive_int, default=3,
                        help="attempts per cell before quarantine "
                             "(default 3)")
-        p.add_argument("--backoff", type=float, default=0.25,
+        p.add_argument("--backoff", type=_backoff_seconds, default=0.25,
                        metavar="SECONDS",
                        help="base retry backoff, doubled per round and "
                             "capped (default 0.25)")
-        p.add_argument("--stop-after", type=int, default=None,
+        p.add_argument("--stop-after", type=_positive_int, default=None,
                        metavar="N",
                        help="stop cleanly after executing N new cells "
                             "(for testing interrupt/resume)")
@@ -1259,7 +1285,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="live-refreshing progress view (bar, "
                                "throughput, ETA) until the campaign "
                                "completes; Ctrl-C exits")
-    p_status.add_argument("--interval", type=float, default=2.0,
+    p_status.add_argument("--interval", type=_interval_seconds,
+                          default=2.0,
                           metavar="SECONDS",
                           help="refresh period for --watch (default 2)")
 

@@ -24,10 +24,10 @@ The HGVQ deployment needs a slotted queue and lives in
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..predictors.base import ValuePredictor
-from ..wordops import WORD_MASK, wsub
+from ..wordops import WORD_MASK
 from .gvq import GlobalValueQueue
 from .table import FlatGDiffTable
 
@@ -137,15 +137,6 @@ class GDiffPredictor(ValuePredictor):
         the queue but other bookkeeping is needed), and by tests.
         """
         self.queue.push(value)
-
-    def _calc_diffs(self, actual: int) -> List[Optional[int]]:
-        """Compute result-minus-queue differences for all n distances."""
-        diffs: List[Optional[int]] = []
-        get = self.queue.get
-        for distance in range(1, self.order + 1):
-            base = get(distance)
-            diffs.append(None if base is None else wsub(actual, base))
-        return diffs
 
     @property
     def conflict_rate(self) -> float:

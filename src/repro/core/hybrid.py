@@ -29,11 +29,11 @@ by write-back, which makes every filler exact — the zero-variation limit).
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..predictors.base import ValuePredictor
 from ..predictors.stride import StridePredictor
-from ..wordops import WORD_MASK, wsub
+from ..wordops import WORD_MASK
 from .gvq import SlottedValueQueue
 from .table import FlatGDiffTable
 
@@ -158,14 +158,6 @@ class HybridGDiffPredictor(ValuePredictor):
         base = queue._buf[(seq - distance) % queue._capacity]
         return (base + table._diffs[row * table.order + distance - 1]) \
             & WORD_MASK
-
-    def _calc_diffs(self, seq: int, actual: int) -> List[Optional[int]]:
-        diffs: List[Optional[int]] = []
-        get = self.queue.get
-        for distance in range(1, self.order + 1):
-            base = get(seq, distance)
-            diffs.append(None if base is None else wsub(actual, base))
-        return diffs
 
     def reset(self) -> None:
         order, entries, policy, capacity = self._ctor

@@ -14,8 +14,10 @@ shard workers of the same pool).  Warm per-worker state — the in-process
 :class:`PackedTrace` memo, the pipeline timing memos, the validated
 shared-memory attachments — survives between calls, so a campaign pays
 interpreter spawn and trace materialisation once per worker, not once per
-round.  A worker holds one task at a time, so a worker that dies takes
-only its own task down and is replaced without restarting the pool.
+round.  A worker holds one batch of tasks at a time and replies task by
+task, so a worker that dies takes down only the task it was running: its
+unstarted batch-mates go back to the queue, and the dead worker is
+replaced without restarting the pool.
 
 Determinism is a hard requirement: a worker computes *exactly* what the
 serial path computes (same experiment function, same arguments, fresh
@@ -210,10 +212,12 @@ class _Worker:
 class WorkerPool:
     """Long-lived worker processes reused across dispatch calls.
 
-    Crash semantics: a worker holds one task at a time, so a worker dying
-    mid-task resolves only *that* task as a crash — siblings keep running,
-    queued tasks still dispatch, and the dead worker is replaced (while
-    work remains) without restarting the pool.
+    Crash semantics: a worker holds one batch at a time and replies once
+    per task, so a worker dying mid-batch resolves only the task it was
+    running (the first without a reply) as a crash.  Its unstarted
+    batch-mates return to the queue uncharged, siblings keep running,
+    and the dead worker is replaced (while work remains) without
+    restarting the pool.
     """
 
     def __init__(self, size: Optional[int] = None) -> None:
@@ -293,19 +297,25 @@ class WorkerPool:
         workers: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
         on_outcome: Optional[Callable[[int, Tuple[str, Any]], None]] = None,
+        batches: Optional[Sequence[Sequence[int]]] = None,
     ) -> List[Tuple[str, Any]]:
-        """Run ``fn`` over *items* on persistent workers, one task per
+        """Run ``fn`` over *items* on persistent workers, one batch per
         worker at a time.
+
+        *batches* partitions the item indices; each batch goes to one
+        idle worker as one message and runs there in order.  Without it
+        every item is a batch of one.
 
         Returns ``[(status, value)]`` aligned with *items*: ``("ok",
         result)``, ``("raise", exception)`` for an exception *fn* raised in
-        a worker, or ``("crash", reason)`` for a worker that died before
-        replying.  *on_outcome(index, outcome)* runs as each outcome
-        arrives.  A driver-side dispatch failure (unpicklable *fn* or
-        item) raises after every in-flight task has drained, so a retry
-        or fallback never races stale replies.  Any other exception (one
-        *on_outcome* raises, an interrupt) first stops the workers still
-        running a task of this call, so no later call reads their replies.
+        a worker, or ``("crash", reason)`` for the task a worker was
+        running when it died.  *on_outcome(index, outcome)* runs as each
+        task's outcome arrives.  A driver-side dispatch failure
+        (unpicklable *fn* or item) raises after every in-flight task has
+        drained, so a retry or fallback never races stale replies.  Any
+        other exception (one *on_outcome* raises, an interrupt) first
+        stops the workers still running a task of this call, so no later
+        call reads their replies.
         """
         if self._closed:
             raise BrokenProcessPool("worker pool is shut down")
@@ -313,9 +323,12 @@ class WorkerPool:
         if not items:
             return []
         outcomes: List[Optional[Tuple[str, Any]]] = [None] * len(items)
+        # Next batch last: ``pop`` takes it, ``append`` puts one back first.
+        pending: List[List[int]] = (
+            [[tid] for tid in range(len(items) - 1, -1, -1)]
+            if batches is None else [list(b) for b in reversed(batches)])
         # An explicit worker request wins over the core-count default.
-        want = max(1, min(len(items), workers if workers else self.size))
-        pending: List[int] = list(range(len(items) - 1, -1, -1))
+        want = max(1, min(len(pending), workers if workers else self.size))
         send_error: Optional[BaseException] = None
 
         _count(registry, "pool.reuse", min(len(self._workers), want))
@@ -337,7 +350,8 @@ class WorkerPool:
             resolve(tid, ("ok" if kind == "ok" else "raise", payload))
 
         def reap(worker: _Worker) -> None:
-            """A worker died: drain what it sent, crash the rest, replace."""
+            """A worker died: drain what it sent, crash the task it was
+            running, requeue the rest of its batch, replace it."""
             nonlocal send_error
             while True:
                 try:
@@ -352,9 +366,12 @@ class WorkerPool:
                       f"died (exit {worker.proc.exitcode})")
             log.warning("%s with %d task(s) in flight",
                         reason, len(worker.inflight))
-            for tid in list(worker.inflight):
-                resolve(tid, ("crash", reason))
-            worker.inflight.clear()
+            if worker.inflight:
+                running, *unstarted = worker.inflight
+                worker.inflight.clear()
+                if unstarted:
+                    pending.append(unstarted)
+                resolve(running, ("crash", reason))
             try:
                 worker.conn.close()
             except Exception:
@@ -374,22 +391,23 @@ class WorkerPool:
                     _count(registry, "pool.replace")
 
         def give(worker: _Worker) -> None:
-            """Hand the next pending task to an idle worker."""
+            """Hand the next pending batch to an idle worker."""
             nonlocal send_error
-            tid = pending.pop()
+            batch = pending.pop()
             try:
-                worker.conn.send(("batch", fn, [(tid, items[tid])]))
+                worker.conn.send(
+                    ("batch", fn, [(tid, items[tid]) for tid in batch]))
             except (pickle.PicklingError, AttributeError,
                     TypeError) as exc:
-                pending.append(tid)
+                pending.append(batch)
                 send_error = exc
             except OSError:
-                pending.append(tid)
+                pending.append(batch)
                 reap(worker)
             else:
-                worker.inflight.append(tid)
+                worker.inflight.extend(batch)
                 _count(registry, "pool.batches")
-                _count(registry, "pool.tasks")
+                _count(registry, "pool.tasks", len(batch))
 
         try:
             for worker in active:
@@ -608,9 +626,10 @@ def run_tasks(
     max_workers: Optional[int] = None,
     registry: Optional[MetricsRegistry] = None,
     on_result: Optional[Callable[[int, Tuple[str, Any]], None]] = None,
+    batches: Optional[Sequence[Sequence[int]]] = None,
 ) -> List[Tuple[str, Any]]:
     """Run *fn* over *items* on the worker pool, reporting per-item
-    outcomes instead of failing the whole batch.
+    outcomes instead of failing the whole call.
 
     Returns ``[(status, value)]`` aligned with *items*, where status is
     :data:`TASK_OK` (value = ``fn(item)``) or :data:`TASK_CRASH` (value =
@@ -620,14 +639,20 @@ def run_tasks(
     what a resumable scheduler needs.  *on_result(index, outcome)* runs
     as each outcome arrives.
 
+    *batches*, a partition of the item indices, says which items go to
+    one worker together, in order, as one message (items that read the
+    same data, say); a worker still replies item by item, and one that
+    dies charges only the item it was running.  Without it every item is
+    a batch of one.
+
     *fn* is expected to catch its own application-level exceptions and
     encode them in its return value; any other exception escaping *fn*
     in a worker is re-raised here once every in-flight task has drained.
     Even a single item goes through the pool: a retried task that kills
     its worker must not take the driver down with it.  Only
     ``max_workers=1`` — or a pool that cannot run at all (counted via
-    ``parallel.fallback``) — runs items in-process, where an escaping
-    exception propagates at once.
+    ``parallel.fallback``) — runs items in-process, in order, whatever
+    the batches, where an escaping exception propagates at once.
     """
     items = list(items)
     if max_workers is None:
@@ -654,8 +679,8 @@ def run_tasks(
 
         try:
             get_pool(registry).map_outcomes(
-                fn, items, workers=min(max_workers, len(items)),
-                registry=registry, on_outcome=on_outcome)
+                fn, items, workers=max_workers, registry=registry,
+                on_outcome=on_outcome, batches=batches)
         except POOL_FAILURES as exc:
             log.warning("task pool could not run (%s: %s); "
                         "running tasks in-process",

@@ -36,12 +36,14 @@ from repro.campaign import (
     render_report,
     report_tables,
 )
-from repro.campaign.scheduler import _cell_worker
+from repro.campaign.scheduler import _cell_worker, _plan_round
 from repro.campaign.spec import Cell
+from repro.harness import runner
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.runner import run_value_prediction
 from repro.telemetry import MetricsRegistry
 from repro.core.gdiff import GDiffPredictor
+from repro.predictors.stride import StridePredictor
 from repro.trace.workloads import get
 
 #: Fast 2x2 grid used throughout: fig8 at two lengths x two benchmarks.
@@ -94,6 +96,17 @@ PREDICT_GRID = {
 #: The predictor whose cells ``_slow_marked_cell_worker`` stalls.
 SLOW_PREDICTOR = "gdiff"
 
+#: Two benches x {stride, gdiff} x gated: four gated/ungated sibling pairs.
+SIBLING_GRID = {
+    "campaign": {"name": "siblings"},
+    "defaults": {"kind": "predict", "length": 3000},
+    "matrix": {"bench": ["gcc", "mcf"], "predictor": ["stride", "gdiff"],
+               "gated": [False, True]},
+}
+
+#: The predictor whose cells ``_crash_predictor_cell_worker`` kills.
+CRASH_PREDICTOR = "stride"
+
 
 # Fault-injection pool entry points (module level so workers can unpickle
 # them by name).
@@ -128,6 +141,14 @@ def _slow_marked_cell_worker(config, span_ctx=None):  # pragma: no cover - subpr
     everything else runs normally."""
     if config["params"]["predictor"] == SLOW_PREDICTOR:
         time.sleep(60)
+    return _cell_worker(config, span_ctx)
+
+
+def _crash_predictor_cell_worker(config, span_ctx=None):  # pragma: no cover - subprocess
+    """Cells of ``CRASH_PREDICTOR`` die hard; everything else runs
+    normally."""
+    if config["params"]["predictor"] == CRASH_PREDICTOR:
+        os._exit(13)
     return _cell_worker(config, span_ctx)
 
 
@@ -622,6 +643,159 @@ class TestScheduler:
                   on_progress=lambda done, total: seen.append(
                       (done, total))).run()
         assert seen[0] == (0, 4) and seen[-1] == (4, 4)
+
+
+def _direct_stats(params):
+    """A predict cell's stats from ``run_value_prediction`` with a fresh
+    predictor and the cell's own ``gated``."""
+    predictor = (GDiffPredictor(order=8, entries=None)
+                 if params["predictor"] == "gdiff"
+                 else StridePredictor(entries=None))
+    return run_value_prediction(
+        get(params["bench"]).trace(params["length"]),
+        {params["predictor"]: predictor},
+        gated=params["gated"])[params["predictor"]].as_dict()
+
+
+def _count_runs(monkeypatch):
+    """Record the ``gated`` of every predictor run an in-process cell
+    makes."""
+    runs = []
+    real = runner.run_value_prediction
+
+    def counted(trace, predictors, gated=False, **kwargs):
+        runs.append(gated)
+        return real(trace, predictors, gated=gated, **kwargs)
+
+    monkeypatch.setattr(runner, "run_value_prediction", counted)
+    return runs
+
+
+def _sibling(cell):
+    """A predict cell's parameters but ``gated``."""
+    return json.dumps({k: v for k, v in cell.params.items()
+                       if k != "gated"}, sort_keys=True)
+
+
+class TestSharedWork:
+    """Sibling cells (equal but for ``gated``) share one predictor run, and
+    the tasks of one trace go to one worker as one batch; every record
+    stays what the cell computes alone."""
+
+    def test_round_plan(self):
+        sweep = CampaignSpec.from_dict({
+            "campaign": {"name": "sweep"},
+            "defaults": {"kind": "predict", "length": 3000},
+            "matrix": {"bench": ["gcc", "mcf", "gzip"],
+                       "predictor": ["stride", "dfcm", "gdiff"],
+                       "gated": [False, True]},
+        }).cells()
+        tasks, batches = _plan_round(sweep, 2)
+        assert [[sweep[i].params["gated"] for i in task]
+                for task in tasks] == [[False, True]] * 9
+        assert all(len({_sibling(sweep[i]) for i in task}) == 1
+                   for task in tasks)
+        # Three traces of three tasks each; the cap is ceil(9 / 2) = 5.
+        assert batches == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        assert all(len({sweep[i].params["bench"] for t in batch
+                        for i in tasks[t]}) == 1 for batch in batches)
+        # One trace, eight tasks, two workers: two batches of four.
+        one_trace = CampaignSpec.from_dict({
+            "campaign": {"name": "one"},
+            "defaults": {"kind": "predict", "predictor": "gdiff",
+                         "bench": "gcc", "length": 3000, "gated": True},
+            "matrix": {"order": [8, 32], "entries": [2048, 8192],
+                       "delay": [0, 4]},
+        }).cells()
+        tasks, batches = _plan_round(one_trace, 2)
+        assert tasks == [[i] for i in range(8)]
+        assert batches == [[0, 1, 2, 3], [4, 5, 6, 7]]
+        # Experiment cells are tasks and batches of one.
+        tasks, batches = _plan_round(mini_spec().cells(), 2)
+        assert tasks == [[0], [1], [2], [3]]
+        assert batches == [[0], [1], [2], [3]]
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_shared_runs_equal_direct_runs(self, tmp_path, max_workers):
+        spec = CampaignSpec.from_dict(SIBLING_GRID)
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        reg = MetricsRegistry()
+        summary = scheduler(spec, store, max_workers=max_workers,
+                            registry=reg).run()
+        assert summary.completed == 8 and summary.quarantined == 0
+        for cell in spec.cells():
+            record = store.load_cell(cell.cell_id)
+            assert (record["result"]["stats"][cell.params["predictor"]]
+                    == _direct_stats(cell.params)), cell.label
+            assert record["telemetry"]["events"] == 3000
+            assert record["attempts"] == 1
+        if max_workers > 1:
+            counters = reg.as_dict()["counters"]
+            assert counters["pool.tasks"] == 4
+            assert counters["pool.batches"] == 2
+
+    def test_predictor_runs_once_per_sibling_pair(self, tmp_path,
+                                                  monkeypatch):
+        runs = _count_runs(monkeypatch)
+        spec = CampaignSpec.from_dict(SIBLING_GRID)
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        assert scheduler(spec, store, max_workers=1).run().completed == 8
+        assert runs == [True] * 4
+
+    def test_lone_sibling_runs_alone(self, tmp_path, monkeypatch):
+        """``--stop-after`` splits a sibling pair: each half runs by
+        itself, gated or not as its config says, and its record equals
+        the direct run."""
+        runs = _count_runs(monkeypatch)
+        doc = json.loads(json.dumps(SIBLING_GRID))
+        doc["matrix"]["bench"] = ["gcc"]
+        spec = CampaignSpec.from_dict(doc)
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        first = scheduler(spec, store, max_workers=1, stop_after=3).run()
+        assert first.completed == 3 and first.stopped_early
+        # The stride pair shares one gated run; gdiff's ungated half runs
+        # alone.
+        assert runs == [True, False]
+        lone = spec.cells()[3]
+        assert (lone.params["predictor"], lone.params["gated"]) == (
+            "gdiff", True)
+        assert not store.is_done(lone.cell_id)
+
+        resumed = CampaignStore(tmp_path / "c")
+        second = scheduler(resumed.open(), resumed, max_workers=1).run()
+        assert second.skipped == 3 and second.completed == 1
+        assert runs == [True, False, True]
+        for cell in spec.cells():
+            record = resumed.load_cell(cell.cell_id)
+            assert (record["result"]["stats"][cell.params["predictor"]]
+                    == _direct_stats(cell.params)), cell.label
+
+    def test_crash_inside_batch_charges_only_its_cell(self, tmp_path):
+        """One trace, four tasks in two batches of two; the stride cell
+        kills its worker as the first task of its batch.  Its batch-mate
+        runs elsewhere, uncharged, and only the stride cell is retried
+        and quarantined."""
+        spec = CampaignSpec.from_dict(PREDICT_GRID)
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        reg = MetricsRegistry()
+        summary = scheduler(spec, store, registry=reg,
+                            cell_worker=_crash_predictor_cell_worker).run()
+        assert summary.completed == 3 and summary.quarantined == 1
+        assert summary.crashes == 2  # one per attempt
+        for cell in spec.cells():
+            if cell.params["predictor"] == CRASH_PREDICTOR:
+                quarantine = store.load_quarantine(cell.cell_id)
+                assert "crashed" in quarantine["error"]
+                assert quarantine["attempts"] == 2
+            else:
+                assert store.load_cell(cell.cell_id)["attempts"] == 1
+        counters = reg.as_dict()["counters"]
+        assert counters["campaign.pool.crash"] == 2
+        assert counters.get("parallel.fallback", 0) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,43 @@ class TestParser:
     def test_accepts_positive_jobs(self, argv):
         assert build_parser().parse_args(argv + ["1"]).jobs == 1
 
+    #: Campaign retry and refresh flags, each with values that used to
+    #: parse and then crash the run (a negative sleep), print a negative
+    #: count, or quarantine a failing cell after one attempt.
+    CAMPAIGN_BAD_VALUES = [
+        (["campaign", "run", "spec.toml", "--backoff"], ["-1", "nan"]),
+        (["campaign", "resume", "camp", "--backoff"], ["-0.5", "inf"]),
+        (["campaign", "status", "camp", "--interval"], ["-1", "0", "nan"]),
+        (["campaign", "run", "spec.toml", "--max-attempts"], ["0", "-2"]),
+        (["campaign", "resume", "camp", "--stop-after"], ["-3", "0"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,value", [(argv, value) for argv, values in CAMPAIGN_BAD_VALUES
+                       for value in values],
+        ids=lambda part: " ".join(part) if isinstance(part, list) else part)
+    def test_rejects_bad_campaign_retry_values(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [value])
+        assert exc.value.code == 2
+        assert argv[-1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,value,attr,expected", [
+        (["campaign", "run", "spec.toml", "--backoff"], "0", "backoff", 0.0),
+        (["campaign", "run", "spec.toml", "--backoff"], "1.5", "backoff",
+         1.5),
+        (["campaign", "status", "camp", "--interval"], "0.5", "interval",
+         0.5),
+        (["campaign", "run", "spec.toml", "--max-attempts"], "1",
+         "max_attempts", 1),
+        (["campaign", "resume", "camp", "--stop-after"], "2", "stop_after",
+         2),
+    ], ids=lambda part: " ".join(part) if isinstance(part, list) else None)
+    def test_accepts_campaign_retry_values(self, argv, value, attr,
+                                           expected):
+        assert getattr(build_parser().parse_args(argv + [value]),
+                       attr) == expected
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -232,6 +232,29 @@ def test_kernel_matches_object_path(name, seed, gated, monkeypatch):
             f"{name} diverged on seed={seed} length={length} gated={gated}")
 
 
+@pytest.mark.parametrize("name", sorted(PREDICTOR_FACTORIES))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gate_never_trains_the_predictor(name, seed, monkeypatch):
+    """The confidence gate only decides which predictions count: a gated
+    run makes the ungated run's predictions and leaves the predictor in
+    the same state, on both paths.  A campaign runs a gated/ungated
+    sibling pair once, gated, and gives the ungated cell its raw
+    counters; that is exact only while this holds."""
+    for length in LENGTHS:
+        pairs = random_pairs(seed, length)
+        ungated = run_both(PREDICTOR_FACTORIES[name], pairs, monkeypatch,
+                           gated=False)
+        gated = run_both(PREDICTOR_FACTORIES[name], pairs, monkeypatch,
+                         gated=True)
+        for flag in ("0", "1"):
+            (raw, state, _gates), (gated_raw, gated_state, _) = (
+                ungated[flag], gated[flag])
+            assert raw[:3] == gated_raw[:3], (
+                f"{name} REPRO_KERNELS={flag} seed={seed} length={length}")
+            assert state == gated_state, (
+                f"{name} REPRO_KERNELS={flag} seed={seed} length={length}")
+
+
 class _ReferenceGDiff:
     """gDiff built on the retained GDiffTable + GVQ.get object path."""
 

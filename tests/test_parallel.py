@@ -267,6 +267,12 @@ def _sleep_then_tag(x):
     return ("slow", x)
 
 
+def _tag_pid_or_exit(x):
+    if x < 0:
+        os._exit(13)
+    return (x, os.getpid())
+
+
 class _Abort(Exception):
     pass
 
@@ -314,6 +320,50 @@ class TestPersistentPool:
         assert counters["pool.replace"] >= 1
         # no serial degradation happened
         assert counters.get("parallel.fallback", 0) == 0
+
+    def test_batch_runs_in_one_worker_in_order(self):
+        """A batch is one message to one worker, which runs its tasks in
+        order and replies once per task."""
+        shutdown_pool()
+        reg = MetricsRegistry()
+        seen = []
+        batches = [[0, 2, 4], [1, 3, 5]]
+        outcomes = run_tasks(_tag_pid_or_exit, range(6), max_workers=2,
+                             registry=reg, batches=batches,
+                             on_result=lambda i, outcome: seen.append(i))
+        assert [value[0] for _status, value in outcomes] == list(range(6))
+        pids = [{outcomes[i][1][1] for i in batch} for batch in batches]
+        assert all(len(batch_pids) == 1 for batch_pids in pids)
+        assert pids[0] != pids[1]
+        assert sorted(seen) == list(range(6))
+        for batch in batches:
+            assert [i for i in seen if i in batch] == batch
+        counters = reg.as_dict()["counters"]
+        assert counters["pool.batches"] == 2
+        assert counters["pool.tasks"] == 6
+
+    def test_crash_inside_batch_charges_only_the_running_task(self):
+        """A worker dying in task 2 of a 4-task batch crashes task 2
+        only; tasks 3 and 4 go back to the queue and run on another
+        worker."""
+        shutdown_pool()
+        reg = MetricsRegistry()
+        outcomes = run_tasks(_tag_pid_or_exit, [1, -1, 3, 4], max_workers=2,
+                             registry=reg, batches=[[0, 1, 2, 3]])
+        assert [status for status, _value in outcomes] == [
+            TASK_OK, TASK_CRASH, TASK_OK, TASK_OK]
+        assert "BrokenProcessPool" in outcomes[1][1]
+        assert [outcomes[i][1][0] for i in (0, 2, 3)] == [1, 3, 4]
+        first, third, fourth = (outcomes[i][1][1] for i in (0, 2, 3))
+        assert third == fourth != first
+        counters = reg.as_dict()["counters"]
+        assert counters["pool.replace"] == 1
+        assert counters.get("parallel.fallback", 0) == 0
+
+    def test_batches_ignored_in_process(self):
+        assert run_tasks(_double, [1, 2, 3], max_workers=1,
+                         batches=[[2], [0, 1]]) == [
+            (TASK_OK, 2), (TASK_OK, 4), (TASK_OK, 6)]
 
     def test_shutdown_pool_idempotent(self):
         shutdown_pool()
