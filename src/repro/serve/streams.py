@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.gdiff import GDiffPredictor
@@ -359,18 +358,3 @@ def batch_reference_stats(spec: str, gated: bool, pcs, values
     stats = run_value_prediction(PairColumns(pcs, values),
                                  {spec: predictor}, gated=gated)
     return stats[spec]
-
-
-def clear_spool(spool: str) -> int:
-    """Delete every snapshot under *spool*; returns the count removed."""
-    root = Path(spool)
-    if not root.is_dir():
-        return 0
-    removed = 0
-    for path in root.glob("*.rps"):
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:
-            pass
-    return removed

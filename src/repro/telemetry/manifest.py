@@ -2,7 +2,8 @@
 
 A manifest records what was run (command, arguments, git revision,
 interpreter), when (start/finish timestamps), how fast (per-phase wall
-times and throughput from the registry's timers), and what was measured
+times and throughput from the registry's timers), how much memory the
+process had used at its peak, and what was measured
 (the registry's counters/gauges/histograms/series plus any
 command-specific ``extra`` sections such as per-predictor statistics).
 ``repro ... --metrics-out FILE`` writes one; ``FILE = -`` streams it to
@@ -23,6 +24,11 @@ from datetime import datetime, timezone
 from typing import Any, Dict, Optional
 
 from .metrics import MetricsRegistry
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - platform without it (Windows)
+    resource = None
 
 SCHEMA_VERSION = 1
 
@@ -54,6 +60,16 @@ def _git_revision_of(directory: str) -> Optional[str]:
     return sha if proc.returncode == 0 and sha else None
 
 
+def _peak_rss_kib() -> Optional[int]:
+    """This process's peak resident set size in KiB, or None where the
+    ``resource`` module is missing.  ``ru_maxrss`` is KiB on Linux and
+    bytes on macOS."""
+    if resource is None:  # pragma: no cover - platform without it
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak // 1024 if sys.platform == "darwin" else peak
+
+
 def _isoformat(epoch: float) -> str:
     return datetime.fromtimestamp(epoch, tz=timezone.utc).isoformat()
 
@@ -71,6 +87,7 @@ class RunManifest:
         #: Perfetto timeline.
         self.clock_epoch_ns = time.time_ns()
         self.finished_at: Optional[float] = None
+        self.peak_rss_kib: Optional[int] = None
         self.git_sha = git_revision()
         self.extra: Dict[str, Any] = {}
 
@@ -95,6 +112,7 @@ class RunManifest:
 
     def finish(self) -> None:
         self.finished_at = time.time()
+        self.peak_rss_kib = _peak_rss_kib()
 
     def as_dict(self, registry: Optional[MetricsRegistry] = None) -> Dict[str, Any]:
         if self.finished_at is None:
@@ -111,6 +129,8 @@ class RunManifest:
             "duration_s": self.finished_at - self.started_at,
             "clock_epoch_ns": self.clock_epoch_ns,
         }
+        if self.peak_rss_kib is not None:
+            doc["peak_rss_kib"] = self.peak_rss_kib
         if registry is not None:
             metrics = registry.as_dict()
             doc["phases"] = metrics.pop("phases")

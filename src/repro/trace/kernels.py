@@ -476,47 +476,6 @@ class PeriodicKernel(Kernel):
         return [ialu_row(self.pc(0), self.reg, value, self._srcs)]
 
 
-class SparseChainKernel(Kernel):
-    """A long computation chain with noise between its links (gap's shape).
-
-    Each block starts a *fresh* chain from an unpredictable seed value, so
-    no link is locally predictable.  Successive links add fixed per-link
-    constants, but ``spacing`` unpredictable values separate them, so the
-    nearest correlated value sits ``spacing + 1`` entries back in the
-    global value queue.  With the paper's profile queue of 8 the chain is
-    invisible; a queue of 32 captures it — reproducing gap's jump from
-    ~40% to ~60% accuracy when the GVQ grows (Section 3).
-    """
-
-    name = "sparse-chain"
-
-    def __init__(self, links: int = 2, spacing: int = 10, link_offset: int = 40):
-        super().__init__()
-        self.links = links
-        self.spacing = spacing
-        self.link_offset = link_offset
-
-    def _allocate_regs(self, regs: RegAllocator) -> None:
-        self.chain_reg = regs.alloc()
-        self.noise_reg = regs.alloc()
-        self._srcs = pack_srcs((self.chain_reg,))
-
-    def block(self, rng: random.Random) -> List[Row]:
-        value = rng.getrandbits(28)
-        rows = [ialu_row(self.pc(0), self.chain_reg, value)]
-        slot = 1
-        for link in range(self.links):
-            for _ in range(self.spacing):
-                rows.append(ialu_row(self.pc(slot), self.noise_reg,
-                                     rng.getrandbits(28)))
-                slot += 1
-            value = wadd(value, self.link_offset * (link + 1))
-            rows.append(ialu_row(self.pc(slot), self.chain_reg, value,
-                                 self._srcs))
-            slot += 1
-        return rows
-
-
 class ParallelChainsKernel(Kernel):
     """Many independent def/use chains interleaved breadth-first.
 

@@ -1,28 +1,33 @@
 """Zero-copy shared-memory trace plane.
 
-Campaign-scale sweeps read the *same* packed trace in every worker, every
-round.  The disk cache (:mod:`repro.trace.cache`) made that read cheap —
-one zlib inflate instead of a regeneration — but at sweep scale even the
-inflate dominates: N workers times R rounds all decompress identical
-bytes.  This module publishes a :class:`~repro.trace.packed.PackedTrace`
-once, from the driver, into a ``multiprocessing.shared_memory`` segment;
-workers attach by name and wrap the segment's buffer in zero-copy
+A trace that several pool workers read would otherwise be inflated
+from the disk cache (:mod:`repro.trace.cache`) once per worker.  This
+module publishes a :class:`~repro.trace.packed.PackedTrace` once, from
+the driver, into a ``multiprocessing.shared_memory`` segment; workers
+attach by name and wrap the segment's buffer in zero-copy
 ``memoryview``-backed columns.  An attach costs one CRC pass over the
 already-uncompressed bytes on first touch and a dict lookup afterwards —
 no file read, no inflate, no column rebuild.
 
+The campaign warm-up publishes only the traces that two or more pool
+batches of a round read (``fig19.toml``'s experiment cells, or a trace
+whose tasks the batch cap splits); a trace that one batch reads reaches
+its worker from the disk cache instead, so neither the driver nor a
+segment holds a copy of it.
+
 Lifecycle:
 
 * The driver owns every segment it publishes, reference-counted per
-  trace key (publishing the same key twice shares one segment).
+  trace key (publishing the same key twice shares one segment).  Each
+  segment is named ``repro_<publisher pid>_<random token>``.
 * :func:`unpublish_all` — registered via ``atexit`` on first publish —
-  closes and unlinks everything at driver exit; the stdlib resource
-  tracker is the backstop when the driver dies hard (it unlinks the
-  segments the dead driver registered at create time).
-* Workers attach read-only and *unregister* each attachment from the
-  resource tracker: Python registers attached POSIX segments too, so a
-  replaced or dying worker's tracker cleanup could otherwise unlink a
-  segment the rest of the pool is still reading.
+  closes and unlinks everything at driver exit.  A driver killed with
+  its process group takes the stdlib resource tracker with it, so
+  nothing unlinks its segments then; :func:`reclaim_stale`, which the
+  campaign warm-up calls first, unlinks every ``repro_<pid>_*`` segment
+  whose publisher no longer exists.
+* Workers attach read-only and never close or unlink what the driver
+  published (the pid guard on :func:`release` / :func:`unpublish_all`).
 * Any failure — unsupported platform, missing segment after a driver
   crash, checksum mismatch from a scribbled buffer — raises
   :class:`ShmError` at the attach site and degrades to the disk cache
@@ -34,14 +39,16 @@ the plane entirely.
 Telemetry (on an attached :class:`~repro.telemetry.MetricsRegistry`):
 ``shm.publish`` / ``shm.publish_bytes`` / ``shm.publish_failed``,
 ``shm.attach`` / ``shm.attach_bytes``, ``shm.local_hit``,
-``shm.checksum_refused``, ``shm.fallback``, ``shm.release``, and the
-``shm.segments`` / ``shm.bytes`` gauges.
+``shm.checksum_refused``, ``shm.fallback``, ``shm.release``,
+``shm.reclaimed``, and the ``shm.segments`` / ``shm.bytes`` gauges.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
+import re
+import secrets
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -59,6 +66,14 @@ except ImportError:  # pragma: no cover - platform without shm support
 
 class ShmError(RuntimeError):
     """A shared-memory segment is unavailable, truncated, or corrupt."""
+
+
+#: Where POSIX shared-memory segments appear as files (Linux).
+SHM_DIR = "/dev/shm"
+
+#: ``repro_<publisher pid>_<random token>``: the name of every segment
+#: :func:`publish` creates.
+_SEGMENT_NAME = re.compile(r"repro_(\d+)_[0-9a-f]+")
 
 
 #: Identity of one published trace: ``(workload, length, seed,
@@ -163,8 +178,7 @@ def publish(trace: PackedTrace, key: TraceKey,
         blobs.append(raw)
         offset += len(raw)
     try:
-        segment = _shared_memory.SharedMemory(create=True,
-                                              size=max(offset, 1))
+        segment = _create_segment(max(offset, 1))
         for (_col, _tc, off, nbytes), raw in zip(layout, blobs):
             segment.buf[off:off + nbytes] = raw
     except (OSError, ValueError) as exc:
@@ -186,6 +200,57 @@ def publish(trace: PackedTrace, key: TraceKey,
     _set_gauges(metrics)
     log.info("published %s as %s (%d bytes)", key, segment.name, offset)
     return handle
+
+
+def _create_segment(size: int):
+    """A new segment named for this process (see :func:`reclaim_stale`)."""
+    while True:
+        name = f"repro_{os.getpid()}_{secrets.token_hex(4)}"
+        try:
+            return _shared_memory.SharedMemory(name=name, create=True,
+                                               size=size)
+        except FileExistsError:
+            continue
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:  # alive, but not ours to signal
+        pass
+    return True
+
+
+def reclaim_stale(metrics=None) -> int:
+    """Unlink every ``repro_<pid>_*`` segment in :data:`SHM_DIR` whose
+    publisher no longer exists; returns the number unlinked.
+
+    A driver killed with its process group never runs its ``atexit``
+    cleanup, and its resource tracker dies with it, so its segments
+    outlive it.  Segments of live processes (including ones this user
+    may not signal) and every other name are left alone; where
+    :data:`SHM_DIR` cannot be listed this does nothing.
+    """
+    try:
+        names = os.listdir(SHM_DIR)
+    except OSError:
+        return 0
+    removed = 0
+    for name in names:
+        match = _SEGMENT_NAME.fullmatch(name)
+        if match is None or _alive(int(match.group(1))):
+            continue
+        try:
+            os.unlink(os.path.join(SHM_DIR, name))
+        except OSError:  # another reclaimer got there first
+            continue
+        removed += 1
+        log.info("reclaimed stale segment %s", name)
+    if removed:
+        _count(metrics, "reclaimed", removed)
+    return removed
 
 
 def _destroy(segment) -> None:
@@ -276,10 +341,9 @@ def attach(handle: ShmTraceHandle, metrics=None) -> PackedTrace:
             f"segment {handle.segment} unavailable: {exc}") from None
     # Python registers *attached* POSIX segments with the resource
     # tracker too.  Pool workers are forked children sharing the driver's
-    # tracker process, whose cache is a set — the attach-time register is
-    # a no-op there, and the tracker only unlinks once the whole process
-    # tree is gone, which is exactly the driver-crash backstop we want.
-    # (Unregistering here would delete the *driver's* registration.)
+    # tracker process, whose cache is a set, so the attach-time register
+    # is a no-op there.  (Unregistering here would delete the *driver's*
+    # registration.)
     views: List[memoryview] = []
     columns: Dict[str, memoryview] = {}
     try:

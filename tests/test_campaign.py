@@ -44,6 +44,8 @@ from repro.harness.runner import run_value_prediction
 from repro.telemetry import MetricsRegistry
 from repro.core.gdiff import GDiffPredictor
 from repro.predictors.stride import StridePredictor
+from repro.trace import shm
+from repro.trace.cache import default_cache, memo_clear
 from repro.trace.workloads import get
 
 #: Fast 2x2 grid used throughout: fig8 at two lengths x two benchmarks.
@@ -106,6 +108,24 @@ SIBLING_GRID = {
 
 #: The predictor whose cells ``_crash_predictor_cell_worker`` kills.
 CRASH_PREDICTOR = "stride"
+
+#: The perfbench sweep's shape on three traces: each trace's two sibling
+#: tasks form one pool batch, so no trace is read by two batches.
+SWEEP_SHAPED_GRID = {
+    "campaign": {"name": "sweep-shaped"},
+    "defaults": {"kind": "predict", "length": 3000},
+    "matrix": {"bench": ["gcc", "mcf", "gzip"],
+               "predictor": ["stride", "gdiff"], "gated": [False, True]},
+}
+
+#: One trace, eight gated gdiff cells: with two workers, two batches of
+#: four tasks read the one trace.
+SHARED_TRACE_GRID = {
+    "campaign": {"name": "shared-trace"},
+    "defaults": {"kind": "predict", "predictor": "gdiff", "bench": "gcc",
+                 "length": 3000, "gated": True},
+    "matrix": {"order": [4, 8, 16, 32], "entries": [2048, 8192]},
+}
 
 
 # Fault-injection pool entry points (module level so workers can unpickle
@@ -796,6 +816,131 @@ class TestSharedWork:
         counters = reg.as_dict()["counters"]
         assert counters["campaign.pool.crash"] == 2
         assert counters.get("parallel.fallback", 0) == 0
+
+
+@pytest.fixture
+def no_publications():
+    """Start and end with no shm publications or attachments."""
+    shm.unpublish_all()
+    shm.detach_all()
+    memo_clear()
+    yield
+    shm.unpublish_all()
+    shm.detach_all()
+    memo_clear()
+
+
+def _entry(key):
+    """The disk-cache path of a warm-plan ``(bench, length, seed,
+    code_copies)`` tuple."""
+    bench, length, seed, copies = key
+    return default_cache().entry_path(
+        bench, length, get(bench).seed if seed is None else seed, copies)
+
+
+class _TruncatingScheduler(CampaignScheduler):
+    """Damages every trace entry that only one batch reads, right after
+    the warm-up checked it."""
+
+    def warm_cache(self, cells):
+        warmed = super().warm_cache(cells)
+        for key in self.warm_plan(cells) - self.shared_traces(cells):
+            path = _entry(key)
+            with open(path, "r+b") as fh:
+                fh.truncate(path.stat().st_size // 2)
+        return warmed
+
+
+class TestTraceResidency:
+    """The warm-up checks on disk the traces one pool batch reads and
+    publishes to shared memory only those two or more batches read."""
+
+    def test_shared_traces(self, monkeypatch):
+        def shared(doc, workers=2):
+            spec = CampaignSpec.from_dict(doc)
+            return scheduler(spec, None, max_workers=workers
+                             ).shared_traces(spec.cells())
+
+        assert shared(SWEEP_SHAPED_GRID) == set()
+        assert shared(SHARED_TRACE_GRID) == {("gcc", 3000, None, 1)}
+        fig19 = {"campaign": {"name": "fig19"},
+                 "defaults": {"kind": "experiment", "experiment": "fig19"},
+                 "matrix": {"order": [8, 32]}}
+        spec = CampaignSpec.from_dict(fig19)
+        both = shared(fig19)
+        assert both == scheduler(spec, None).warm_plan(spec.cells())
+        assert {bench for bench, *_ in both} == set(SUITE)
+        assert shared(SHARED_TRACE_GRID, workers=1) == set()
+        monkeypatch.setenv("REPRO_SHM", "0")
+        assert shared(SHARED_TRACE_GRID) == set()
+
+    def test_warm_disk_cache_is_only_checked(self, no_publications):
+        spec = CampaignSpec.from_dict(SWEEP_SHAPED_GRID)
+        cells = spec.cells()
+        scheduler(spec, None).warm_cache(cells)  # fill the disk cache
+        reg = MetricsRegistry()
+        assert scheduler(spec, None, registry=reg).warm_cache(cells) == 3
+        assert shm.current_table()[1] == ()
+        counters = reg.as_dict()["counters"]
+        assert "shm.publish" not in counters
+        assert counters["cache.hit"] == 3
+        assert "cache.bytes_read" not in counters  # nothing was loaded
+
+    def test_cold_cache_is_filled_on_disk(self, tmp_path, monkeypatch,
+                                          no_publications):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cold"))
+        spec = CampaignSpec.from_dict(SWEEP_SHAPED_GRID)
+        cells = spec.cells()
+        reg = MetricsRegistry()
+        sched = scheduler(spec, None, registry=reg)
+        assert sched.warm_cache(cells) == 3
+        assert all(_entry(key).exists() for key in sched.warm_plan(cells))
+        counters = reg.as_dict()["counters"]
+        assert counters["cache.store"] == 3
+        assert "shm.publish" not in counters
+        assert shm.current_table()[1] == ()
+
+    def test_damaged_entry_is_regenerated_by_its_worker(
+            self, tmp_path, monkeypatch, no_publications):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        spec = CampaignSpec.from_dict(SWEEP_SHAPED_GRID)
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        reg = MetricsRegistry()
+        summary = _TruncatingScheduler(
+            spec, store, max_workers=2, registry=reg,
+            retry=RetryPolicy(max_attempts=1)).run()
+        assert summary.completed == 12
+        for cell in spec.cells():
+            record = store.load_cell(cell.cell_id)
+            assert (record["result"]["stats"][cell.params["predictor"]]
+                    == _direct_stats(cell.params)), cell.label
+        # Each trace's one reader found its entry torn and regenerated it.
+        assert reg.as_dict()["counters"]["cache.invalid"] == 3
+
+    def test_campaign_run_shares_one_trace(self, tmp_path):
+        grid = tmp_path / "shared.json"
+        grid.write_text(json.dumps(SHARED_TRACE_GRID))
+        repo = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+
+        def run(jobs):
+            out = tmp_path / f"jobs{jobs}"
+            subprocess.run(
+                [sys.executable, "-m", "repro", "campaign", "run",
+                 str(grid), "--dir", str(out), "--jobs", str(jobs),
+                 "--no-progress", "--metrics-out", f"{out}.json"],
+                env=env, check=True, capture_output=True)
+            doc = json.loads(Path(f"{out}.json").read_text())
+            records = {p.name: json.loads(p.read_text())["result"]
+                       for p in (out / "cells").glob("*.json")}
+            return doc["metrics"]["counters"], records
+
+        counters, pooled = run(2)
+        _counters, serial = run(1)
+        assert counters["shm.publish"] == 1
+        assert counters["shm.attach"] == 2
+        assert len(pooled) == 8 and pooled == serial
 
 
 # ---------------------------------------------------------------------------

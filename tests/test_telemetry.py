@@ -255,6 +255,12 @@ class TestRunManifest:
         doc = json.loads(manifest.to_json())
         assert doc["run_id"] == manifest.run_id
 
+    def test_document_records_peak_rss(self):
+        if manifest_module.resource is None:
+            pytest.skip("no resource module on this platform")
+        doc = json.loads(RunManifest("trace", {}).to_json())
+        assert type(doc["peak_rss_kib"]) is int and doc["peak_rss_kib"] > 0
+
     def test_git_revision_spawns_git_once_per_process(self, monkeypatch):
         calls = []
 
