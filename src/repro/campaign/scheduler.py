@@ -31,18 +31,15 @@ in ``gated`` (*siblings*) form one task whose predictor runs once, gated:
 the confidence gate never trains the predictor, so that run's raw
 counters are exactly the ungated cell's stats.  The tasks whose cells
 read one trace go to one worker as one pool batch, so each trace is
-attached and grouped once per round; the worker still replies task by
+loaded and grouped once per round; the worker still replies task by
 task, and every cell keeps its own record.
 
 The trace cache is warmed once up front (unique ``(bench, length, seed,
 code_copies)`` tuples across the whole grid) so workers start from warm
 loads instead of racing to generate; combined with the cache's per-key
 generation lock, each distinct trace is generated at most once per
-machine, ever.  The warm-up places each trace by the round's dispatch
-plan: a trace that one pool batch reads is only checked on disk, and
-its worker loads it there; a trace that two or more batches read is
-loaded into the driver and published to shared memory, so each reader
-attaches one copy.
+machine, ever.  The warm-up only checks each entry on disk (or fills it);
+the driver loads no trace, and each worker loads what its batch reads.
 """
 
 from __future__ import annotations
@@ -57,8 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from ..harness.experiments import EXPERIMENT_INPUTS
 from ..harness.parallel import TASK_OK, default_workers, run_tasks
 from ..telemetry import MetricsRegistry, RunManifest, get_logger
-from ..trace import shm
-from ..trace.cache import cache_enabled, default_cache, effective_length
+from ..trace.cache import cache_enabled, default_cache
 from .spec import Cell, CampaignSpec, canonical_json
 from .store import CampaignStore
 
@@ -393,87 +389,43 @@ class CampaignScheduler:
                 plan.add((bench, length, None, copies))
         return plan
 
-    def shared_traces(self, cells: List[Cell]
-                      ) -> Set[Tuple[str, int, Optional[int], int]]:
-        """The :meth:`warm_plan` tuples that two or more pool batches of
-        *cells*, planned as one round (:func:`_plan_round`), read.
-
-        A batch reads its predict cells' one trace, or what its
-        experiment cell's :meth:`warm_plan` names.  Empty when the round
-        runs in-process (``max_workers <= 1``) or shared memory is off:
-        nothing is published then.
-        """
-        if self.max_workers <= 1 or not shm.shm_enabled():
-            return set()
-        tasks, batches = _plan_round(cells, self.max_workers)
-        readers: Dict[Tuple[str, int, Optional[int], int], int] = {}
-        for batch in batches:
-            cell = cells[tasks[batch[0]][0]]
-            keys = ({_trace_key(cell.params)} if cell.kind == "predict"
-                    else self.warm_plan([cell]))
-            for key in keys:
-                readers[key] = readers.get(key, 0) + 1
-        return {key for key, count in readers.items() if count > 1}
-
     def warm_cache(self, cells: List[Cell]) -> int:
         """Make every trace the grid needs ready on disk, once, up front.
 
-        A trace that one pool batch reads (most predict grids: a trace's
-        tasks form one batch) is only checked on disk, or generated and
-        stored when it is missing; the driver keeps no copy and its
-        worker loads the entry.  A trace of :meth:`shared_traces` is
-        loaded and published to shared memory, so its readers attach
-        one copy; the publications stay alive across scheduler rounds
-        for the life of the driver.  Segments that a killed driver left
-        behind are reclaimed first (:func:`repro.trace.shm.reclaim_stale`).
+        Each entry is only checked on disk, or generated and stored when
+        it is missing; the driver keeps no trace, and each worker loads
+        what its batch reads from the disk cache.  Where the cache root
+        cannot be written the driver generates nothing: a trace it
+        could not store would be generated again by its readers.
         """
-        if shm.shm_enabled():
-            shm.reclaim_stale(metrics=self.registry)
         if not cache_enabled():
             return 0
-        from ..trace.workloads import get as _workload
-
+        cache = default_cache(metrics=self.registry)
+        if not cache.writable():
+            log.warning("trace cache %s cannot be written: workers "
+                        "generate the traces they read", cache.root)
+            return 0
         plan = sorted(self.warm_plan(cells),
                       key=lambda t: (t[0], t[1], t[3]))
-        shared = self.shared_traces(cells)
-        cache = default_cache(metrics=self.registry)
         timer = (self.registry.timer("campaign/warm")
                  if self.registry is not None else None)
         span = timer.__enter__() if timer is not None else None
         warmed = 0
         try:
-            for key in plan:
-                bench, length, seed, copies = key
+            for bench, length, seed, copies in plan:
                 # Best effort: a bad cell config (e.g. negative length) must
                 # surface as a quarantined cell, not abort the whole run here.
                 try:
-                    if key not in shared:
-                        cache.warm([bench], length, seed=seed,
-                                   code_copies=copies)
-                        warmed += 1
-                        continue
-                    trace = cache.load_or_generate(bench, length, seed=seed,
-                                                   code_copies=copies)
+                    cache.warm([bench], length, seed=seed, code_copies=copies)
                     warmed += 1
                 except Exception as exc:
                     log.warning("cache warm failed for %s length=%s: %s",
                                 bench, length, exc)
-                    continue
-                # Publish under the *effective* seed and *effective* length
-                # so worker-side ``cached_trace`` lookups (which resolve a
-                # None seed to the workload default and clamp finite
-                # imported workloads) find the segment.
-                spec = _workload(bench)
-                eff = spec.seed if seed is None else seed
-                eff_len = effective_length(spec, length)
-                shm.publish(trace, (bench, eff_len, eff, copies),
-                            metrics=self.registry)
         finally:
             if timer is not None:
                 span.items = warmed
                 timer.__exit__(None, None, None)
-        log.info("warmed %d trace cache entries, %d shared", warmed,
-                 len(shared))
+        log.info("warmed %d trace cache entries", warmed)
         return warmed
 
     # -- the main loop ----------------------------------------------------

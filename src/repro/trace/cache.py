@@ -298,6 +298,17 @@ class TraceCache:
             # A read-only or full cache directory must never fail the run.
             log.warning("could not store cache entry %s: %s", path, exc)
 
+    def writable(self) -> bool:
+        """Whether entries can be stored under :attr:`root` (which is
+        created if need be); :meth:`_store` only logs the failure."""
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            with tempfile.TemporaryFile(dir=self.root):
+                pass
+        except OSError:
+            return False
+        return True
+
     # -- management ------------------------------------------------------
     def warm(self, workloads: Iterable[Union[str, WorkloadSpec]],
              length: int, seed: Optional[int] = None, code_copies: int = 1,

@@ -1,34 +1,36 @@
 """Zero-copy shared-memory trace plane.
 
-A trace that several pool workers read would otherwise be inflated
-from the disk cache (:mod:`repro.trace.cache`) once per worker.  This
-module publishes a :class:`~repro.trace.packed.PackedTrace` once, from
-the driver, into a ``multiprocessing.shared_memory`` segment; workers
-attach by name and wrap the segment's buffer in zero-copy
-``memoryview``-backed columns.  An attach costs one CRC pass over the
-already-uncompressed bytes on first touch and a dict lookup afterwards —
-no file read, no inflate, no column rebuild.
+A trace that several processes read would otherwise be inflated from
+the disk cache (:mod:`repro.trace.cache`) once per process.  This
+module publishes a :class:`~repro.trace.packed.PackedTrace` once into a
+``multiprocessing.shared_memory`` segment; readers attach by name and
+wrap the segment's buffer in zero-copy ``memoryview``-backed columns.
+An attach costs one CRC pass over the already-uncompressed bytes on
+first touch and a dict lookup afterwards — no file read, no inflate,
+no column rebuild.
 
-The campaign warm-up publishes only the traces that two or more pool
-batches of a round read (``fig19.toml``'s experiment cells, or a trace
-whose tasks the batch cap splits); a trace that one batch reads reaches
-its worker from the disk cache instead, so neither the driver nor a
-segment holds a copy of it.
+No campaign publishes.  Its workers load each trace from the disk
+cache, which measured faster and smaller than publishing even on grids
+where two pool batches read one trace (docs/PERFORMANCE.md, "Trace
+residency").  The plane's publishers are perfbench's trace layer and
+``benchmarks/bench_parallel.py``; pool workers receive the publisher's
+table of segments (:func:`current_table`), and
+:func:`repro.trace.cache.cached_trace` looks a key up there before the
+disk cache.
 
 Lifecycle:
 
-* The driver owns every segment it publishes, reference-counted per
-  trace key (publishing the same key twice shares one segment).  Each
-  segment is named ``repro_<publisher pid>_<random token>``.
+* The publisher owns every segment it publishes, reference-counted per
+  trace key (publishing the same key twice shares one segment).
 * :func:`unpublish_all` — registered via ``atexit`` on first publish —
-  closes and unlinks everything at driver exit.  A driver killed with
-  its process group takes the stdlib resource tracker with it, so
-  nothing unlinks its segments then; :func:`reclaim_stale`, which the
-  campaign warm-up calls first, unlinks every ``repro_<pid>_*`` segment
-  whose publisher no longer exists.
-* Workers attach read-only and never close or unlink what the driver
-  published (the pid guard on :func:`release` / :func:`unpublish_all`).
-* Any failure — unsupported platform, missing segment after a driver
+  closes and unlinks everything at publisher exit; the stdlib resource
+  tracker unlinks the segments of a publisher that dies hard on its
+  own.  Killing the publisher's whole process group kills the tracker
+  too, and its segments then outlive it.
+* Workers attach read-only and never close or unlink what the
+  publisher published (the pid guard on :func:`release` /
+  :func:`unpublish_all`).
+* Any failure — unsupported platform, missing segment after a publisher
   crash, checksum mismatch from a scribbled buffer — raises
   :class:`ShmError` at the attach site and degrades to the disk cache
   (see :func:`repro.trace.cache.cached_trace`), bit-identically.
@@ -39,16 +41,14 @@ the plane entirely.
 Telemetry (on an attached :class:`~repro.telemetry.MetricsRegistry`):
 ``shm.publish`` / ``shm.publish_bytes`` / ``shm.publish_failed``,
 ``shm.attach`` / ``shm.attach_bytes``, ``shm.local_hit``,
-``shm.checksum_refused``, ``shm.fallback``, ``shm.release``,
-``shm.reclaimed``, and the ``shm.segments`` / ``shm.bytes`` gauges.
+``shm.checksum_refused``, ``shm.fallback``, ``shm.release``, and the
+``shm.segments`` / ``shm.bytes`` gauges.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
-import re
-import secrets
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -66,14 +66,6 @@ except ImportError:  # pragma: no cover - platform without shm support
 
 class ShmError(RuntimeError):
     """A shared-memory segment is unavailable, truncated, or corrupt."""
-
-
-#: Where POSIX shared-memory segments appear as files (Linux).
-SHM_DIR = "/dev/shm"
-
-#: ``repro_<publisher pid>_<random token>``: the name of every segment
-#: :func:`publish` creates.
-_SEGMENT_NAME = re.compile(r"repro_(\d+)_[0-9a-f]+")
 
 
 #: Identity of one published trace: ``(workload, length, seed,
@@ -178,7 +170,8 @@ def publish(trace: PackedTrace, key: TraceKey,
         blobs.append(raw)
         offset += len(raw)
     try:
-        segment = _create_segment(max(offset, 1))
+        segment = _shared_memory.SharedMemory(create=True,
+                                              size=max(offset, 1))
         for (_col, _tc, off, nbytes), raw in zip(layout, blobs):
             segment.buf[off:off + nbytes] = raw
     except (OSError, ValueError) as exc:
@@ -200,57 +193,6 @@ def publish(trace: PackedTrace, key: TraceKey,
     _set_gauges(metrics)
     log.info("published %s as %s (%d bytes)", key, segment.name, offset)
     return handle
-
-
-def _create_segment(size: int):
-    """A new segment named for this process (see :func:`reclaim_stale`)."""
-    while True:
-        name = f"repro_{os.getpid()}_{secrets.token_hex(4)}"
-        try:
-            return _shared_memory.SharedMemory(name=name, create=True,
-                                               size=size)
-        except FileExistsError:
-            continue
-
-
-def _alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:  # alive, but not ours to signal
-        pass
-    return True
-
-
-def reclaim_stale(metrics=None) -> int:
-    """Unlink every ``repro_<pid>_*`` segment in :data:`SHM_DIR` whose
-    publisher no longer exists; returns the number unlinked.
-
-    A driver killed with its process group never runs its ``atexit``
-    cleanup, and its resource tracker dies with it, so its segments
-    outlive it.  Segments of live processes (including ones this user
-    may not signal) and every other name are left alone; where
-    :data:`SHM_DIR` cannot be listed this does nothing.
-    """
-    try:
-        names = os.listdir(SHM_DIR)
-    except OSError:
-        return 0
-    removed = 0
-    for name in names:
-        match = _SEGMENT_NAME.fullmatch(name)
-        if match is None or _alive(int(match.group(1))):
-            continue
-        try:
-            os.unlink(os.path.join(SHM_DIR, name))
-        except OSError:  # another reclaimer got there first
-            continue
-        removed += 1
-        log.info("reclaimed stale segment %s", name)
-    if removed:
-        _count(metrics, "reclaimed", removed)
-    return removed
 
 
 def _destroy(segment) -> None:

@@ -839,12 +839,11 @@ def _entry(key):
 
 
 class _TruncatingScheduler(CampaignScheduler):
-    """Damages every trace entry that only one batch reads, right after
-    the warm-up checked it."""
+    """Damages every trace entry right after the warm-up checked it."""
 
     def warm_cache(self, cells):
         warmed = super().warm_cache(cells)
-        for key in self.warm_plan(cells) - self.shared_traces(cells):
+        for key in self.warm_plan(cells):
             path = _entry(key)
             with open(path, "r+b") as fh:
                 fh.truncate(path.stat().st_size // 2)
@@ -852,38 +851,23 @@ class _TruncatingScheduler(CampaignScheduler):
 
 
 class TestTraceResidency:
-    """The warm-up checks on disk the traces one pool batch reads and
-    publishes to shared memory only those two or more batches read."""
+    """The warm-up only checks traces on disk: the driver loads and
+    publishes none, even one that two pool batches read."""
 
-    def test_shared_traces(self, monkeypatch):
-        def shared(doc, workers=2):
-            spec = CampaignSpec.from_dict(doc)
-            return scheduler(spec, None, max_workers=workers
-                             ).shared_traces(spec.cells())
-
-        assert shared(SWEEP_SHAPED_GRID) == set()
-        assert shared(SHARED_TRACE_GRID) == {("gcc", 3000, None, 1)}
-        fig19 = {"campaign": {"name": "fig19"},
-                 "defaults": {"kind": "experiment", "experiment": "fig19"},
-                 "matrix": {"order": [8, 32]}}
-        spec = CampaignSpec.from_dict(fig19)
-        both = shared(fig19)
-        assert both == scheduler(spec, None).warm_plan(spec.cells())
-        assert {bench for bench, *_ in both} == set(SUITE)
-        assert shared(SHARED_TRACE_GRID, workers=1) == set()
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert shared(SHARED_TRACE_GRID) == set()
-
-    def test_warm_disk_cache_is_only_checked(self, no_publications):
-        spec = CampaignSpec.from_dict(SWEEP_SHAPED_GRID)
+    @pytest.mark.parametrize("grid,traces", [(SWEEP_SHAPED_GRID, 3),
+                                             (SHARED_TRACE_GRID, 1)],
+                             ids=["sweep-shaped", "shared-trace"])
+    def test_warm_disk_cache_is_only_checked(self, grid, traces,
+                                             no_publications):
+        spec = CampaignSpec.from_dict(grid)
         cells = spec.cells()
         scheduler(spec, None).warm_cache(cells)  # fill the disk cache
         reg = MetricsRegistry()
-        assert scheduler(spec, None, registry=reg).warm_cache(cells) == 3
+        assert scheduler(spec, None, registry=reg).warm_cache(cells) == traces
         assert shm.current_table()[1] == ()
         counters = reg.as_dict()["counters"]
         assert "shm.publish" not in counters
-        assert counters["cache.hit"] == 3
+        assert counters["cache.hit"] == traces
         assert "cache.bytes_read" not in counters  # nothing was loaded
 
     def test_cold_cache_is_filled_on_disk(self, tmp_path, monkeypatch,
@@ -918,7 +902,27 @@ class TestTraceResidency:
         # Each trace's one reader found its entry torn and regenerated it.
         assert reg.as_dict()["counters"]["cache.invalid"] == 3
 
-    def test_campaign_run_shares_one_trace(self, tmp_path):
+    def test_unwritable_cache_generates_each_trace_once(
+            self, tmp_path, monkeypatch, no_publications):
+        """A trace the driver could not store would be generated again
+        by its worker, so the driver generates none."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, so no cache root can be made below it")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "cache"))
+        spec = CampaignSpec.from_dict(SWEEP_SHAPED_GRID)
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        reg = MetricsRegistry()
+        summary = scheduler(spec, store, registry=reg, warm=True).run()
+        assert summary.completed == 12
+        for cell in spec.cells():
+            record = store.load_cell(cell.cell_id)
+            assert (record["result"]["stats"][cell.params["predictor"]]
+                    == _direct_stats(cell.params)), cell.label
+        # Driver and workers together: one generation per trace.
+        assert reg.as_dict()["counters"]["cache.miss"] == 3
+
+    def test_campaign_run_publishes_no_shared_trace(self, tmp_path):
         grid = tmp_path / "shared.json"
         grid.write_text(json.dumps(SHARED_TRACE_GRID))
         repo = Path(__file__).resolve().parent.parent
@@ -938,8 +942,9 @@ class TestTraceResidency:
 
         counters, pooled = run(2)
         _counters, serial = run(1)
-        assert counters["shm.publish"] == 1
-        assert counters["shm.attach"] == 2
+        assert counters["pool.batches"] == 2  # two readers of one trace
+        assert "shm.publish" not in counters
+        assert "shm.attach" not in counters
         assert len(pooled) == 8 and pooled == serial
 
 

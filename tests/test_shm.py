@@ -158,41 +158,6 @@ class TestLifecycle:
         assert shm.attach(handle) is not None  # survived the foreign release
 
 
-class TestReclaim:
-    def test_reclaims_only_dead_publishers(self):
-        """A driver killed with its process group leaves its segments
-        behind; the next warm-up unlinks those of dead publishers only."""
-        if not os.path.isdir(shm.SHM_DIR):
-            pytest.skip("segments are not listed as files here")
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()  # reaped: its pid names no process
-        names = {"dead": f"repro_{child.pid}_0badcafe",
-                 "live": f"repro_{os.getpid()}_0badcafe",
-                 "foreign": "psm_0badcafe"}
-        paths = {k: os.path.join(shm.SHM_DIR, n) for k, n in names.items()}
-        for path in paths.values():
-            with open(path, "wb") as fh:
-                fh.write(b"\0" * 16)
-        try:
-            reg = MetricsRegistry()
-            assert shm.reclaim_stale(metrics=reg) >= 1
-            assert not os.path.exists(paths["dead"])
-            assert os.path.exists(paths["live"])
-            assert os.path.exists(paths["foreign"])
-            assert reg.as_dict()["counters"]["shm.reclaimed"] >= 1
-        finally:
-            for path in paths.values():
-                if os.path.exists(path):
-                    os.unlink(path)
-
-    def test_published_segment_names_its_publisher(self):
-        trace, key = _packed()
-        handle = shm.publish(trace, key)
-        assert handle.segment.startswith(f"repro_{os.getpid()}_")
-        shm.reclaim_stale()
-        assert shm.attach(handle) is not None  # a live owner's: kept
-
-
 class TestIntegrity:
     def test_corrupt_segment_refused(self):
         trace, key = _packed()
