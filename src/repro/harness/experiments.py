@@ -23,7 +23,8 @@ fig19      Speedup from value speculation with selective reissue
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional
+from contextvars import ContextVar
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..analysis.stats import harmonic_mean_speedup, mean
 from ..core.gdiff import GDiffPredictor
@@ -39,6 +40,7 @@ from ..pipeline.vp import (
 from ..predictors.dfcm import DFCMPredictor
 from ..predictors.markov import MarkovPredictor
 from ..predictors.stride import StridePredictor
+from ..tables import conflict_rate
 from ..trace.cache import cached_trace
 from ..trace.workloads import BENCHMARKS
 from .report import ExperimentResult
@@ -53,6 +55,26 @@ PIPELINE_LENGTH = 50_000
 #: predictor warm-up and table pressure (DFCM's two-level structure warms
 #: slowest, which is why its coverage trails — Section 7's observation).
 PIPELINE_COPIES = 4
+
+#: The registry :func:`run_experiment` was given and the lengths of the
+#: traces the running experiment has read; None without a registry.
+_READS: ContextVar[Optional[Tuple[object, List[int]]]] = ContextVar(
+    "experiment_reads", default=None)
+
+
+def _trace(bench: str, length: int, code_copies: int = 1):
+    """The experiments' trace source: :func:`cached_trace`, whose trace
+    tiers count into :func:`run_experiment`'s registry, and whose length
+    is added to the running experiment's items."""
+    reads = _READS.get()
+    if reads is None:
+        return cached_trace(bench, length, code_copies=code_copies)
+    registry, lengths = reads
+    trace = cached_trace(bench, length, code_copies=code_copies,
+                         metrics=registry)
+    lengths.append(len(trace))
+    return trace
+
 
 #: The Section 7 machine: the paper evaluates value speculation on "an
 #: aggressive machine model ... similar to the great latency model
@@ -87,7 +109,7 @@ def fig8(length: int = PROFILE_LENGTH,
         notes=["paper averages: stride 57%, DFCM 64%, gdiff(q=8) 73%"],
     )
     for bench in benchmarks or BENCHMARKS:
-        trace = cached_trace(bench, length)
+        trace = _trace(bench, length)
         predictors = {
             "stride": StridePredictor(entries=None),
             "dfcm": DFCMPredictor(order=4, l1_entries=None),
@@ -113,6 +135,11 @@ def fig9(length: int = PROFILE_LENGTH,
          code_copies: int = 8) -> ExperimentResult:
     """Conflict (aliasing) rate of the gDiff table across sizes.
 
+    gDiff accesses its tagless table once per value-producing
+    instruction, so each size's rate is
+    :func:`~repro.tables.conflict_rate` of the trace's value-PC column:
+    no predictor needs to run.
+
     Paper: an 8K-entry tagless table loses <1% accuracy vs infinite; 2K
     shows conflict rates up to ~25%.  Synthetic code bodies are small, so
     ``code_copies`` replicates static PCs to paper-scale code sizes.
@@ -127,14 +154,9 @@ def fig9(length: int = PROFILE_LENGTH,
                "sharply below 8K"],
     )
     for bench in benchmarks or BENCHMARKS:
-        trace = cached_trace(bench, length, code_copies=code_copies)
-        row = []
-        for size in FIG9_TABLE_SIZES:
-            predictor = GDiffPredictor(order=8, entries=size,
-                                       track_conflicts=True)
-            run_value_prediction(trace, {"gdiff": predictor})
-            row.append(predictor.conflict_rate)
-        result.add_row(bench, *row)
+        pcs = _trace(bench, length, code_copies=code_copies).value_pairs()[0]
+        result.add_row(bench, *(conflict_rate(pcs, size)
+                                for size in FIG9_TABLE_SIZES))
     result.add_row(
         "average",
         *(mean(result.column(label)) for label in labels),
@@ -165,7 +187,7 @@ def fig10(length: int = PROFILE_LENGTH,
         notes=["paper: average 73% at T=0 falling to 52% at T=16"],
     )
     for bench in benchmarks or BENCHMARKS:
-        trace = cached_trace(bench, length)
+        trace = _trace(bench, length)
         row = []
         for delay in FIG10_DELAYS:
             predictor = GDiffPredictor(order=order, entries=None, delay=delay)
@@ -188,7 +210,7 @@ def fig12(length: int = PIPELINE_LENGTH,
     motivating speculative (pre-retire) GVQ updates.
     """
     core = OutOfOrderCore(track_value_delay=True)
-    sim = core.run(cached_trace(bench, length, code_copies=PIPELINE_COPIES))
+    sim = core.run(_trace(bench, length, code_copies=PIPELINE_COPIES))
     histogram = sim.value_delay_histogram
     total = sum(histogram.values()) or 1
     result = ExperimentResult(
@@ -225,7 +247,7 @@ def _pipeline_capability(
                               kinds={c: "rate" for c in columns[1:]},
                               notes=notes)
     for bench in benchmarks or BENCHMARKS:
-        trace = cached_trace(bench, length, code_copies=PIPELINE_COPIES)
+        trace = _trace(bench, length, code_copies=PIPELINE_COPIES)
         row: List[float] = []
         for factory in adapters.values():
             adapter = factory()
@@ -319,7 +341,7 @@ def fig18(length: int = PROFILE_LENGTH,
                "20%/69%"],
     )
     for bench in benchmarks or BENCHMARKS:
-        trace = cached_trace(bench, length)
+        trace = _trace(bench, length)
         predictors = {
             "ls": StridePredictor(entries=4096),
             "gs": GDiffPredictor(order=32, entries=4096),
@@ -363,8 +385,7 @@ def table2(length: int = PIPELINE_LENGTH,
     for bench in benchmarks or BENCHMARKS:
         core = OutOfOrderCore(
             config=config if config is not None else great_latency_config())
-        sim = core.run(cached_trace(bench, length,
-                                    code_copies=PIPELINE_COPIES))
+        sim = core.run(_trace(bench, length, code_copies=PIPELINE_COPIES))
         result.add_row(bench, sim.ipc, sim.dcache_miss_rate,
                        sim.branch_mispredict_rate)
     ipcs = result.column("ipc")
@@ -405,7 +426,7 @@ def fig19(length: int = PIPELINE_LENGTH,
     )
     speedups: Dict[str, List[float]] = {name: [] for name in adapters}
     for bench in benchmarks or BENCHMARKS:
-        trace = cached_trace(bench, length, code_copies=PIPELINE_COPIES)
+        trace = _trace(bench, length, code_copies=PIPELINE_COPIES)
         baseline = OutOfOrderCore(config=great_latency_config()).run(trace)
         row: List[float] = [baseline.ipc]
         for name, factory in adapters.items():
@@ -482,7 +503,10 @@ def run_experiment(name: str, registry=None, **kwargs) -> ExperimentResult:
     """Run one experiment from the registry by id.
 
     With a :class:`~repro.telemetry.MetricsRegistry` the run is timed as
-    phase ``experiment.<name>`` (wall time in the exported manifest).
+    phase ``experiment.<name>`` (wall time in the exported manifest),
+    whose items are the instructions of every trace the experiment read;
+    the trace cache counts its tiers (``cache.hit``, ``cache.miss``) into
+    the same registry.
     """
     try:
         fn = EXPERIMENTS[name]
@@ -492,5 +516,12 @@ def run_experiment(name: str, registry=None, **kwargs) -> ExperimentResult:
         ) from None
     if registry is None:
         return fn(**kwargs)
-    with registry.timer(f"experiment.{name}"):
-        return fn(**kwargs)
+    lengths: List[int] = []
+    token = _READS.set((registry, lengths))
+    try:
+        with registry.timer(f"experiment.{name}") as span:
+            result = fn(**kwargs)
+            span.items = sum(lengths)
+    finally:
+        _READS.reset(token)
+    return result

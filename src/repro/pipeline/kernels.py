@@ -25,21 +25,23 @@ loop over flat state, applying the same playbook the predictor kernels in
 
 * **Packed-native fetch.**  The fetch queue is a pair of cursors into
   the :class:`~repro.trace.packed.PackedTrace` columns; no
-  ``Instruction`` is ever materialised.  Per-trace auxiliary columns —
-  src registers unpacked into tuples, i-cache line ids — are computed
-  once and memoised on the trace's column dict identity, so the repeated
-  runs of a fig13/fig19 sweep share them.  I-cache, gshare and d-cache
-  accesses are inlined over locally bound buckets/counter lists, with
-  the access/miss/lookup counters accumulated as plain ints and flushed
-  to the shared model objects once at the end.  Because fetch consumes
-  the trace strictly in order, the entire front end is also
-  precomputable: from pristine i-cache/branch-predictor state the line
-  hit/miss and predict-correct/mispredict outcome of every instruction
-  is a trace property, independent of back-end timing, so they are
-  solved once per trace into a shared event-byte column and each run's
-  fetch phase just reads it (final front-end state is restored from a
-  snapshot, or by replaying the consumed prefix after a truncated
-  ``max_cycles`` run).
+  ``Instruction`` is ever materialised.  A per-trace memo, keyed on the
+  trace's column dict identity, keeps only what every run reads: the
+  static dataflow edges, the fetch-event bytes below and the timing
+  memos, so the repeated runs of a fig13/fig19 sweep share them.  Line
+  ids are one shift of the PC or address where they are read, and src
+  registers are unpacked only while the edges are built.  I-cache,
+  gshare and d-cache accesses are inlined over locally bound
+  buckets/counter lists, with the access/miss/lookup counters
+  accumulated as plain ints and flushed to the shared model objects
+  once at the end.  Because fetch consumes the trace strictly in order,
+  the entire front end is also precomputable: from pristine
+  i-cache/branch-predictor state the line hit/miss and
+  predict-correct/mispredict outcome of every instruction is a trace
+  property, independent of back-end timing, so they are solved once per
+  trace into a shared event-byte column and each run's fetch phase just
+  reads it (final front-end state is restored from a snapshot, or by
+  replaying the consumed prefix after a truncated ``max_cycles`` run).
 
 * **Event-driven scheduling.**  Completion latencies are bounded, so
   in-flight instructions live in a timing wheel of ``max_latency + 1``
@@ -110,7 +112,6 @@ schemes, seeds, gating and reissue policies.
 from __future__ import annotations
 
 from heapq import heappop as _heappop, heappush as _heappush
-from itertools import accumulate
 from operator import add, sub
 from typing import Optional
 
@@ -133,7 +134,7 @@ from .vp import HGVQAdapter, LocalPredictorAdapter, SGVQAdapter
 
 
 # ----------------------------------------------------------------------
-# Per-trace auxiliary columns
+# Per-trace memo
 # ----------------------------------------------------------------------
 class _SrcLut(dict):
     """Packed src word -> tuple of register numbers, built on demand."""
@@ -153,7 +154,7 @@ class _SrcLut(dict):
 _SRC_LUT = _SrcLut()
 
 #: flags byte -> 1 when the produces-value bit (0x40) is set.
-_VPRE_TBL = bytes(1 if b & 0x40 else 0 for b in range(256))
+_PRODUCES_TBL = bytes(1 if b & 0x40 else 0 for b in range(256))
 
 #: id(trace._cols) -> (cols, aux dict).  The strong reference to the
 #: column dict pins its id, so a recycled id can never alias a dead
@@ -1351,6 +1352,7 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
     ops = cols["ops"]
     flags = cols["flags"]
     values = cols["values"]
+    addrs = cols["addrs"]
     tb = trace._start
     t_stop = trace._stop
 
@@ -1392,32 +1394,17 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
     ghist = bp._history
     glook = gcorrect = 0
 
-    # -- per-trace auxiliary columns (memoised across runs) -------------
+    # -- per-trace static dataflow (memoised across runs) --------------
     aux = _trace_aux(cols)
-    lkey = ("lines", line_shift)
-    lines = aux.get(lkey)
-    if lines is None:
-        sh = line_shift
-        lines = aux[lkey] = [pc >> sh for pc in pcs]
-    dkey = ("dlines", d_shift)
-    dlines = aux.get(dkey)
-    if dlines is None:
-        sh = d_shift
-        dlines = aux[dkey] = [a >> sh for a in cols["addrs"]]
     flow = aux.get("dataflow")
     if flow is None:
-        srcs_t = aux.get("srcs")
-        if srcs_t is None:
-            srcs_t = aux["srcs"] = list(map(_SRC_LUT.__getitem__,
-                                            cols["srcs"]))
         dests = cols["dests"]
         n = len(pcs)
         sdeps = [()] * n    # i -> static producer trace indices (per src)
         scons = [()] * n    # j -> sorted consumer trace indices
         writers = {}
         writers_get = writers.get
-        for i in range(n):
-            st = srcs_t[i]
+        for i, st in enumerate(map(_SRC_LUT.__getitem__, cols["srcs"])):
             if st:
                 dep = None
                 for reg in st:
@@ -1436,10 +1423,8 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                     sdeps[i] = dep
             if flags[i] & 0x01:
                 writers[dests[i]] = i
-        vpre = [0]          # prefix counts of value-producing insns
-        vpre.extend(accumulate(bytes(flags).translate(_VPRE_TBL)))
-        flow = aux["dataflow"] = (sdeps, scons, vpre)
-    sdeps, scons, vpre = flow
+        flow = aux["dataflow"] = (sdeps, scons)
+    sdeps, scons = flow
 
     # -- fetch-event precompute -----------------------------------------
     # Fetch consumes the trace strictly in order, so from pristine
@@ -1467,7 +1452,7 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
             ll = -1
             for fti in range(tb, t_stop):
                 ev = 0
-                line = lines[fti]
+                line = pcs[fti] >> line_shift
                 if line != ll:
                     ll = line
                     bucket = fl[line % i_sets]
@@ -1522,7 +1507,7 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
         memo = aux.get(timing_key)
         if memo is not None and on_progress is None:
             mev, snap = memo
-            (m_cycles, m_retired, m_branches, m_mispred, m_icm,
+            (m_cycles, m_retired, m_vp, m_branches, m_mispred, m_icm,
              m_iacc, m_imiss, m_ilines, m_dacc, m_dmiss, m_dl,
              m_ghist, m_glook, m_gcorr, m_gcnt) = snap
             for b, sb in zip(i_lines, m_ilines):
@@ -1539,7 +1524,7 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
             dcache.misses += m_dmiss
             result.cycles = m_cycles
             result.retired = m_retired
-            result.retired_vp = vpre[tb + m_retired] - vpre[tb]
+            result.retired_vp = m_vp
             result.branches = m_branches
             result.branch_mispredicts = m_mispred
             result.icache_misses = m_icm
@@ -1851,7 +1836,7 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                             deferred.append(s)
                         continue
                     d_acc += 1
-                    line = dlines[ti]
+                    line = addrs[ti] >> d_shift
                     bucket = d_lines[line % d_sets]
                     try:
                         pos = bucket.index(line)
@@ -1983,7 +1968,7 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                     break
                 ti = fq_tail
                 stop_fetch = False
-                line = lines[ti]
+                line = pcs[ti] >> line_shift
                 if line != last_line:
                     last_line = line
                     i_acc += 1
@@ -2048,7 +2033,7 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                 if ev:
                     ic = ev & 3
                     if ic:
-                        line = lines[ti]
+                        line = pcs[ti] >> line_shift
                         bucket = i_lines[line % i_sets]
                         if ic == 2:
                             bucket.insert(0, line)
@@ -2080,18 +2065,22 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
     dcache.accesses += d_acc
     dcache.misses += d_miss
     retired = head_seq
+    # Value instructions retired, counted once per solved run; the timing
+    # memo keeps the count, so a replay reads it without a pass.
+    retired_vp = bytes(flags[tb:tb + retired]).translate(
+        _PRODUCES_TBL).count(1)
     if recording:
         old = [k for k in aux if type(k) is tuple and k[0] == "timing"]
         if len(old) >= 4:
             aux.pop(old[0])
         aux[timing_key] = (events, (
-            cycle, retired, branches, mispredicts, icache_misses,
+            cycle, retired, retired_vp, branches, mispredicts, icache_misses,
             i_acc, i_miss, [list(b) for b in i_lines],
             d_acc, d_miss, [list(b) for b in d_lines],
             ghist, glook, gcorrect, list(gcounters)))
     result.cycles = cycle
     result.retired = retired
-    result.retired_vp = vpre[tb + retired] - vpre[tb]
+    result.retired_vp = retired_vp
     result.branches = branches
     result.branch_mispredicts = mispredicts
     result.icache_misses = icache_misses

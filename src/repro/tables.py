@@ -9,13 +9,41 @@ the "owner" PC of each entry and counts conflicts: accesses that hit an
 entry last touched by a different static instruction.
 
 :class:`DirectMappedTable` implements both configurations behind one
-interface; :class:`SetAssociativeTable` adds tags and LRU replacement for
-the Markov predictor of Section 6.
+interface; :func:`conflict_rate` computes its conflict rate from a PC
+stream alone; :class:`SetAssociativeTable` adds tags and LRU replacement
+for the Markov predictor of Section 6.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+
+def conflict_rate(pcs: Iterable[int], entries: Optional[int],
+                  pc_shift: int = 2) -> float:
+    """Conflicts over accesses of a tagless direct-mapped table driven by
+    *pcs*, one access per PC in order (Figure 9).
+
+    An access conflicts when its slot was last accessed by a different
+    PC, as :class:`DirectMappedTable` counts with ``track_conflicts``; no
+    value enters the count.  An unlimited table (``entries=None``) never
+    conflicts, and no PCs read 0.0.
+    """
+    if entries is None:
+        return 0.0
+    if entries <= 0 or entries & (entries - 1):
+        raise ValueError(f"entries must be a power of two, got {entries}")
+    mask = entries - 1
+    owner: Dict[int, int] = {}
+    get = owner.get
+    accesses = conflicts = 0
+    for pc in pcs:
+        idx = (pc >> pc_shift) & mask
+        if get(idx, pc) != pc:
+            conflicts += 1
+        owner[idx] = pc
+        accesses += 1
+    return conflicts / accesses if accesses else 0.0
 
 
 class DirectMappedTable:

@@ -397,16 +397,6 @@ class PackedTrace:
         return (at(i - start) for i in range(start, self._stop)
                 if ops[i] == load)
 
-    def per_pc_values(self) -> Dict[int, List[int]]:
-        histories: Dict[int, List[int]] = {}
-        flags = self._cols["flags"]
-        pcs = self._cols["pcs"]
-        values = self._cols["values"]
-        for i in range(self._start, self._stop):
-            if flags[i] & FLAG_PRODUCES:
-                histories.setdefault(pcs[i], []).append(values[i])
-        return histories
-
     # -- fast-path column access -----------------------------------------
     def value_pairs(self) -> Tuple[array, array]:
         """``(pcs, values)`` columns of the value-producing instructions

@@ -21,6 +21,7 @@ from repro.campaign import (
     watch_lines,
 )
 from repro.telemetry import MetricsRegistry
+from repro.trace.workloads import BENCHMARKS
 from tests.test_campaign import RAISE_LENGTH, _raise_marked_cell_worker
 
 PREDICT = {
@@ -61,6 +62,25 @@ class TestStoredTelemetry:
                 3000 / telemetry["duration_s"], rel=0.01)
             # The up-front warm generated the trace; the cell then hit.
             assert telemetry["cache_hits"] == 1
+            assert telemetry["cache_misses"] == 0
+
+    def test_experiment_cell_records_trace_reads(self, tmp_path):
+        """An experiment cell counts the trace tiers it read through and,
+        as its events, the instructions of every trace it read."""
+        spec = CampaignSpec.from_dict({
+            "campaign": {"name": "tele-exp"},
+            "defaults": {"kind": "experiment", "length": 2000},
+            "matrix": {"experiment": ["fig8", "fig12"]},
+        })
+        store, summary = run_campaign(tmp_path, spec)
+        assert summary.completed == 2
+        # fig8 reads every suite benchmark, fig12 vortex alone.
+        read = {"fig8": len(BENCHMARKS) * 2000, "fig12": 2000}
+        for cell in spec.cells():
+            telemetry = store.summary(cell.cell_id)["telemetry"]
+            assert telemetry["events"] == read[cell.params["experiment"]]
+            # The warm-up stored every trace; the cell then hit.
+            assert telemetry["cache_hits"] >= 1
             assert telemetry["cache_misses"] == 0
 
     def test_telemetry_survives_store_reopen(self, tmp_path):

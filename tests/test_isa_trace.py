@@ -102,11 +102,6 @@ class TestTrace:
         trace = _sample_trace()
         assert [i.addr for i in trace.loads()] == [0x1000, 0x1008]
 
-    def test_per_pc_values(self):
-        histories = _sample_trace().per_pc_values()
-        assert histories[0x100] == [10, 11]
-        assert histories[0x104] == [20, 21]
-
     def test_stats_str(self):
         text = str(_sample_trace().stats)
         assert "6 instructions" in text

@@ -255,6 +255,32 @@ def test_gate_never_trains_the_predictor(name, seed, monkeypatch):
                 f"{name} REPRO_KERNELS={flag} seed={seed} length={length}")
 
 
+@pytest.mark.parametrize("order", [4, 8, 32])
+@pytest.mark.parametrize("entries", [None, 4096, 64],
+                         ids=["unlimited", "bounded", "aliasing"])
+@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+def test_hgvq_scores_gdiff_at_delay_0(order, entries, gated, monkeypatch):
+    """Over a trace every HGVQ slot holds its real value before a younger
+    pair reads it, and the filler's predictions are never scored, so
+    HGVQ scores exactly what gDiff scores at delay 0, on both paths.  A
+    campaign's ``hgvq`` cell shares the ``gdiff`` cell's run on this.
+    (4096 rows keep :func:`random_pairs`' PCs apart; 64 make them
+    alias.)"""
+    for seed in SEEDS:
+        pairs = random_pairs(seed, LENGTHS[-1])
+        hgvq = run_both(lambda: HybridGDiffPredictor(order=order,
+                                                     entries=entries),
+                        pairs, monkeypatch, gated)
+        gdiff = run_both(lambda: GDiffPredictor(order=order, entries=entries,
+                                                delay=0),
+                         pairs, monkeypatch, gated)
+        for flag in ("0", "1"):
+            (stats, _state, gates), (gstats, _gstate, ggates) = (
+                hgvq[flag], gdiff[flag])
+            assert stats == gstats, f"REPRO_KERNELS={flag} seed={seed}"
+            assert gates == ggates, f"REPRO_KERNELS={flag} seed={seed}"
+
+
 class _ReferenceGDiff:
     """gDiff built on the retained GDiffTable + GVQ.get object path."""
 

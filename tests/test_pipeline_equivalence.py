@@ -284,22 +284,27 @@ def test_chained_runs(kind, monkeypatch):
 def test_timing_memo_replay_matches(monkeypatch):
     """Several passive schemes over the *same* trace object: the first
     kernel run records the timing solution, later ones replay it.  Every
-    replayed run must still match its own from-scratch object run."""
+    replayed run must still match its own from-scratch object run, also
+    over a view that starts mid-trace (the replay's ``retired_vp`` counts
+    only the view's instructions)."""
     trace = cached_trace("gzip", length=LENGTH, seed=5, code_copies=2)
-    for kind in (None, "stride", "dfcm", "sgvq", "hgvq", "lv"):
-        ref = kernel = None
-        for flag in ("0", "1"):
-            monkeypatch.setenv("REPRO_KERNELS", flag)
-            vp = make_vp(kind)
-            core = OutOfOrderCore(value_predictor=vp,
-                                  track_value_delay=True)
-            r = core.run(trace)
-            snap = (snap_result(r), snap_vp(vp), snap_core(core))
-            if flag == "0":
-                ref = snap
-            else:
-                kernel = snap
-        assert ref == kernel, f"scheme {kind} diverged under memo replay"
+    for view in (trace, trace[1500:LENGTH]):
+        for kind in (None, "stride", "dfcm", "sgvq", "hgvq", "lv"):
+            ref = kernel = None
+            for flag in ("0", "1"):
+                monkeypatch.setenv("REPRO_KERNELS", flag)
+                vp = make_vp(kind)
+                core = OutOfOrderCore(value_predictor=vp,
+                                      track_value_delay=True)
+                r = core.run(view)
+                snap = (snap_result(r), snap_vp(vp), snap_core(core))
+                if flag == "0":
+                    ref = snap
+                else:
+                    kernel = snap
+            assert ref == kernel, (
+                f"scheme {kind} diverged under memo replay over "
+                f"[{view._start}:{view._stop}]")
 
 
 def test_progress_callback_sequence(monkeypatch):

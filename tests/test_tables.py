@@ -1,8 +1,10 @@
 """Tests for the hardware-style table containers."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
-from repro.tables import DirectMappedTable, SetAssociativeTable
+from repro.tables import DirectMappedTable, SetAssociativeTable, conflict_rate
 
 
 class TestDirectMappedTable:
@@ -70,6 +72,37 @@ class TestDirectMappedTable:
 
     def test_conflict_rate_empty(self):
         assert DirectMappedTable(entries=8).conflict_rate == 0.0
+
+
+#: PC streams over 256 static instructions (word-aligned PCs in a 1 KiB
+#: code body), so PCs share slots in every table of 64 entries or fewer.
+pc_streams = st.lists(st.integers(min_value=0, max_value=255).map(
+    lambda word: 0x400000 + 4 * word), max_size=200)
+table_sizes = st.one_of(st.none(), st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
+
+
+class TestConflictRate:
+    """Figure 9's conflict rate from the PC stream alone equals what a
+    tracking table counts over the same accesses."""
+
+    @given(pc_streams, table_sizes)
+    def test_matches_tracking_table(self, pcs, entries):
+        table = DirectMappedTable(entries=entries, track_conflicts=True)
+        for pc in pcs:
+            table.lookup_or_create(pc, dict)
+        assert conflict_rate(pcs, entries) == table.conflict_rate
+
+    def test_aliasing_pcs_conflict(self):
+        # 0x0 and 0x40 share slot 0 of a 4-entry table (as above).
+        assert conflict_rate([0x0, 0x40, 0x40, 0x0], 4) == 0.5
+
+    def test_empty_and_unlimited(self):
+        assert conflict_rate([], 8) == 0.0
+        assert conflict_rate([0x0, 0x40, 0x0], None) == 0.0
+
+    def test_power_of_two_enforced(self):
+        with pytest.raises(ValueError):
+            conflict_rate([0x0], 100)
 
 
 class TestSetAssociativeTable:
