@@ -7,9 +7,11 @@ event-driven SoA kernel) and once forced onto the object path with
 ``REPRO_KERNELS=0`` — asserting equal :class:`SimResult` (cycles, IPC
 numerator, value-delay histogram, miss/flush counters), equal cache and
 branch-predictor end state, and equal predictor/queue/confidence/stats
-end state.  Dead state is excluded exactly as in the profile-kernel
-suite: ``_diffs`` words past a row's ``_valid`` count and the
-``_scratch`` buffer are unreachable garbage on both paths.
+end state: the gDiff table, the local adapter's inner tables and the
+HGVQ filler's (stride, last-value and DFCM, level-2 table included),
+every dict compared in insertion order.  Dead state is excluded exactly
+as in the profile-kernel suite: ``_diffs`` words past a row's ``_valid``
+count and the ``_scratch`` buffer are unreachable garbage on both paths.
 
 Also covered: the passive timing memo (several schemes replayed over one
 trace object must match their from-scratch object runs bit for bit),
@@ -71,6 +73,15 @@ def make_vp(kind):
     if kind == "hgvq_thr0":
         return HGVQAdapter(order=16, entries=256,
                            confidence=ConfidenceTable(threshold=0))
+    if kind == "hgvq_lv":
+        return HGVQAdapter(order=16, entries=512,
+                           filler=LastValuePredictor(entries=128))
+    if kind == "hgvq_dfcm":
+        return HGVQAdapter(order=16, entries=512,
+                           filler=DFCMPredictor(order=3, l1_entries=512))
+    if kind == "hgvq_const":
+        return HGVQAdapter(order=8, entries=256,
+                           filler=ConstantPredictor(value=7))
     raise ValueError(kind)
 
 
@@ -107,25 +118,33 @@ def snap_core(core):
 
 
 def _entry_snap(e):
+    if isinstance(e, int):
+        return e
     if hasattr(e, "__slots__"):
         return tuple(getattr(e, f) for f in e.__slots__)
     return tuple(sorted(vars(e).items()))
 
 
 def _table_snap(t):
-    store = getattr(t, "_entries", None)
-    if store is None:
-        store = getattr(t, "_data", None)
-    if isinstance(store, dict):
-        return {k: _entry_snap(e) for k, e in store.items()}
-    if isinstance(store, list):
-        return {i: _entry_snap(e) for i, e in enumerate(store)
-                if e is not None}
-    return repr(store)
+    """A local table's counters and entries, or a plain dict's items
+    (DFCM's level-2 table); every dict in insertion order."""
+    if isinstance(t, dict):
+        return list(t.items())
+    return (t.accesses, t.conflicts, t.evictions,
+            [(k, _entry_snap(e)) for k, e in t._data.items()],
+            list(t._owner.items()))
+
+
+def _local_snap(out, prefix, predictor):
+    for attr in ("_table", "_l1", "_l2"):
+        tb = getattr(predictor, attr, None)
+        if tb is not None:
+            out[prefix + attr] = _table_snap(tb)
 
 
 def snap_vp(vp):
-    """Complete live predictor state: stats, confidence, tables, queues.
+    """Complete live predictor state: stats, confidence, tables, queues,
+    with every dict compared in insertion order.
 
     Only reachable state is captured — ``_diffs`` beyond ``_valid`` and
     the ``_scratch`` buffer are garbage on both paths by contract.
@@ -135,7 +154,7 @@ def snap_vp(vp):
     s = vp.stats
     out = {"stats": (s.attempts, s.predictions, s.correct, s.confident,
                      s.confident_correct),
-           "conf": dict(vp.confidence._table._data)}
+           "conf": list(vp.confidence._table._data.items())}
     gd = getattr(vp, "gdiff", None)
     hy = getattr(vp, "hybrid", None)
     if hy is not None:
@@ -146,9 +165,7 @@ def snap_vp(vp):
                     tuple(q._buf[k % q._capacity]
                           for k in range(max(0, q._next_seq - q._capacity),
                                          q._next_seq)))
-        ft = getattr(hy.filler, "_table", None)
-        if ft is not None:
-            out["filler"] = _table_snap(ft)
+        _local_snap(out, "filler", hy.filler)
         gd = hy
     elif gd is not None:
         q = gd.queue
@@ -156,33 +173,30 @@ def snap_vp(vp):
                     tuple(q._buf[k % q._capacity]
                           for k in range(max(0, q._count - q._capacity),
                                          q._count)))
-    inner = getattr(vp, "predictor", None)
+    inner = getattr(vp, "inner", None)
     if inner is not None:
-        for attr in ("_table", "_l1", "_l2", "table"):
-            tb = getattr(inner, attr, None)
-            if tb is not None:
-                out["inner_" + attr] = _table_snap(tb)
+        _local_snap(out, "inner", inner)
     if gd is not None:
         t = gd.table
         out["gd_last"] = gd.last_distance
         out["tacc"] = (t.accesses, t.conflicts)
-        rows = {}
+        rows = []
         if t.entries is None:
             for pc, row in t._rows.items():
                 v = t._valid[row]
                 base = row * t.order
-                rows[pc] = (t._dist[row], v,
-                            tuple(t._diffs[base:base + v]))
+                rows.append((pc, t._dist[row], v,
+                             tuple(t._diffs[base:base + v])))
             out["nrows"] = t._nrows
         else:
             for row in range(t.entries):
                 if t._present[row]:
                     v = t._valid[row]
                     base = row * t.order
-                    rows[row] = (t._dist[row], v,
+                    rows.append((row, t._dist[row], v,
                                  tuple(t._diffs[base:base + v]),
                                  t._owner[row] if t._owner_set[row]
-                                 else None)
+                                 else None))
             out["occ"] = t._occupied
         out["rows"] = rows
     return out
@@ -225,6 +239,12 @@ CONFIGS = [
     ("hgvq", True, "great", 99),
     ("hgvq_unlim", True, "default", 11),
     ("hgvq_thr0", True, "great", 11),
+    ("hgvq_lv", False, "default", 11),
+    ("hgvq_lv", True, "great", 11),
+    ("hgvq_dfcm", False, "default", 11),
+    ("hgvq_dfcm", True, "great", 11),
+    ("hgvq_const", False, "default", 11),
+    ("hgvq_const", True, "great", 11),
 ]
 
 
