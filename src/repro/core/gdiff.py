@@ -43,7 +43,6 @@ class GDiffPredictor(ValuePredictor):
         delay: value delay ``T`` (Section 3.1); 0 for the ideal case.
         policy: distance tie-break policy (see
             :data:`repro.core.table.DISTANCE_POLICIES`).
-        track_conflicts: enable aliasing accounting for Figure 9.
         tagged: tagged (alias-evicting) prediction table instead of the
             paper's tagless one — the table design-study option.
     """
@@ -60,7 +59,6 @@ class GDiffPredictor(ValuePredictor):
         entries: Optional[int] = None,
         delay: int = 0,
         policy: str = "sticky-nearest",
-        track_conflicts: bool = False,
         refresh_on_match: bool = True,
         tagged: bool = False,
     ):
@@ -70,13 +68,12 @@ class GDiffPredictor(ValuePredictor):
             order=order,
             entries=entries,
             policy=policy,
-            track_conflicts=track_conflicts,
             refresh_on_match=refresh_on_match,
             tagged=tagged,
         )
         self._scratch = array("Q", bytes(8 * order))
-        self._ctor = (order, entries, delay, policy, track_conflicts,
-                      refresh_on_match, tagged)
+        self._ctor = (order, entries, delay, policy, refresh_on_match,
+                      tagged)
 
     def predict(self, pc: int) -> Optional[int]:
         """Predict ``GVQ[distance] + diff_distance`` for *pc*, if locked."""
@@ -138,16 +135,12 @@ class GDiffPredictor(ValuePredictor):
         """
         self.queue.push(value)
 
-    @property
-    def conflict_rate(self) -> float:
-        return self.table.conflict_rate
-
     def reset(self) -> None:
-        order, entries, delay, policy, track, refresh, tagged = self._ctor
+        order, entries, delay, policy, refresh, tagged = self._ctor
         self.queue = GlobalValueQueue(size=order, delay=delay)
         self.table = FlatGDiffTable(
             order=order, entries=entries, policy=policy,
-            track_conflicts=track, refresh_on_match=refresh, tagged=tagged,
+            refresh_on_match=refresh, tagged=tagged,
         )
 
     def locked_distances(self) -> Dict[int, int]:

@@ -23,10 +23,10 @@ stride history and rolling hash.  Rows are visited in the order of their
 first pair, so every table and dict grows in the order the object path
 inserts into it.  A bounded table's row merges the PCs that alias in it,
 split into runs of one PC each (:func:`_table_runs`); the row's state is
-reloaded for each run, which also counts its conflicts and re-salts
-DFCM's hash.  The result is exact because the only dependences between
-pairs that do not share a row run through three pieces of shared state,
-each kept in trace order:
+reloaded for each run, which also moves the confidence gate to the run's
+PC and re-salts DFCM's hash.  The result is exact because the only
+dependences between pairs that do not share a row run through three
+pieces of shared state, each kept in trace order:
 
 * **the value column** — read-only in a profile run;
 * **the confidence gate** — every gate the runtime builds is unlimited
@@ -307,8 +307,8 @@ def _gdiff_core(table, values, groups, stats, conf, ring, cap, count0,
 
     *count0* is the queue's global position at entry (values pushed, or
     HGVQ slots allocated); *delay* is the value delay T (0 for HGVQ).
-    Handles every policy, bounded/unlimited tables, and the aliasing
-    accounting of ``DirectMappedTable.lookup_or_create`` (tagless only).
+    Handles every policy and bounded/unlimited tables (tagless and
+    unmetered only, so no aliasing owner or conflict count is kept).
     Returns the distance the call's last pair selected (0 = it
     mismatched, None = no pairs) for ``last_distance``; the caller syncs
     queue state.
@@ -336,16 +336,12 @@ def _gdiff_core(table, values, groups, stats, conf, ring, cap, count0,
     dist = table._dist
     valid = table._valid
     present = table._present
-    owner = table._owner
-    owner_set = table._owner_set
     sticky = table.policy == "sticky-nearest"
     farthest = table.policy == "farthest"
     refresh = table.refresh_on_match
     keep = sticky and refresh
-    track = table.track_conflicts and not unlimited
     occupied = table._occupied
     nrows = table._nrows
-    conflicts = 0
 
     gated = conf is not None
     if gated:
@@ -381,11 +377,6 @@ def _gdiff_core(table, values, groups, stats, conf, ring, cap, count0,
             occupied += 1
             dist[row] = 0
             valid[row] = 0
-        if track:
-            if not fresh and owner_set[row] and owner[row] != pc:
-                conflicts += 1
-            owner[row] = pc
-            owner_set[row] = 1
         if gated:
             cur, cfirst = gate.open(pc)
         # -- the row's state, in locals for the run.  d is the locked
@@ -517,7 +508,6 @@ def _gdiff_core(table, values, groups, stats, conf, ring, cap, count0,
     if gated:
         gate.finish()
     table.accesses += n
-    table.conflicts += conflicts
     table._occupied = occupied
     table._nrows = nrows
     _add_stats(stats, n, correct + misses, correct, confident,

@@ -89,7 +89,6 @@ class GDiffTable:
         order: int = 8,
         entries: Optional[int] = None,
         policy: str = "sticky-nearest",
-        track_conflicts: bool = False,
         refresh_on_match: bool = True,
         tagged: bool = False,
     ):
@@ -101,9 +100,7 @@ class GDiffTable:
         self.policy = policy
         self.refresh_on_match = refresh_on_match
         self._entries = entries
-        self._table = DirectMappedTable(
-            entries=entries, track_conflicts=track_conflicts, tagged=tagged
-        )
+        self._table = DirectMappedTable(entries=entries, tagged=tagged)
 
     def lookup(self, pc: int) -> Optional[GDiffEntry]:
         """Return the entry for *pc* without creating one."""
@@ -223,7 +220,6 @@ class FlatGDiffTable:
         order: int = 8,
         entries: Optional[int] = None,
         policy: str = "sticky-nearest",
-        track_conflicts: bool = False,
         refresh_on_match: bool = True,
         tagged: bool = False,
         pc_shift: int = 2,
@@ -242,7 +238,6 @@ class FlatGDiffTable:
         self.refresh_on_match = refresh_on_match
         self.entries = entries
         self.pc_shift = pc_shift
-        self.track_conflicts = track_conflicts
         self.tagged = tagged
         self.accesses = 0
         self.conflicts = 0
@@ -295,9 +290,10 @@ class FlatGDiffTable:
         """Resolve (creating if needed) *pc*'s row with full accounting.
 
         Replicates :meth:`DirectMappedTable.lookup_or_create` exactly:
-        counts the access, counts a conflict when the slot's owner is a
-        different PC (``track_conflicts``), evicts-and-restarts on an
-        aliased tagged slot, and records ownership.
+        counts the access, evicts-and-restarts on an aliased tagged slot
+        and, while a metrics registry is attached, counts a conflict when
+        the slot's owner is a different PC; it records ownership where
+        either reads it.
         """
         self.accesses += 1
         if self.entries is None:
@@ -318,7 +314,7 @@ class FlatGDiffTable:
         idx = (pc >> self.pc_shift) & (self.entries - 1)
         if self._present[idx]:
             if self._owner_set[idx] and self._owner[idx] != pc:
-                if self.track_conflicts:
+                if self._meters is not None:
                     self.conflicts += 1
                 if self.tagged:
                     self.evictions += 1
@@ -329,7 +325,7 @@ class FlatGDiffTable:
             self._occupied += 1
             self._dist[idx] = 0
             self._valid[idx] = 0
-        if self.track_conflicts or self.tagged:
+        if self._meters is not None or self.tagged:
             self._owner[idx] = pc
             self._owner_set[idx] = 1
         return idx
@@ -452,7 +448,6 @@ class FlatGDiffTable:
 
         Same meters and collectors as :meth:`GDiffTable.attach_metrics`.
         """
-        self.track_conflicts = True
         self._meters = _TrainMeters(registry, prefix)
         table = self
 
@@ -467,7 +462,7 @@ class FlatGDiffTable:
 
     @property
     def conflict_rate(self) -> float:
-        """Aliasing conflict rate of the tagless table (Fig. 9)."""
+        """Conflicts over accesses, counted while a registry is attached."""
         if not self.accesses:
             return 0.0
         return self.conflicts / self.accesses

@@ -97,7 +97,9 @@ loop over flat state, applying the same playbook the predictor kernels in
 Shapes the kernel does not model decline cleanly — :func:`run_fast`
 returns ``None`` before mutating anything and the caller falls back to
 the object loop: attached telemetry (the object path owns the per-cycle
-occupancy/stall accounting), subclassed cores or adapters, plain
+occupancy/stall accounting, and a gDiff table counts its aliasing
+conflicts only while a registry is attached, so the hooks count none),
+subclassed cores or adapters, plain
 ``Instruction`` lists and other non-packed inputs, tagged tables,
 attached event recorders, and predictor shapes outside the
 LocalPredictorAdapter/SGVQ/HGVQ families.
@@ -195,72 +197,16 @@ def _conf_bind(vp):
 
 
 def _inner_ops(inner):
-    """Compile a local predictor into flat closures, or None to decline.
+    """Compile a non-stride HGVQ filler into flat closures, or None to
+    decline (the stride filler is inlined in :func:`_hgvq_vp`).
 
-    Returns ``(predict, update, spec, retire, finalize)``; members may be
-    ``None`` where the predictor has no behaviour (matching the base-class
-    no-ops).  Used for :class:`LocalPredictorAdapter` inners and for the
-    HGVQ filler.
+    Returns ``(predict, update, finalize)``; the constant filler has no
+    ``update`` or ``finalize`` (None).
     """
     kind = type(inner)
     if kind is ConstantPredictor:
         value = inner.value
-        return (lambda pc: value), None, None, None, None
-    if kind is StridePredictor:
-        table = inner._table
-        if type(table) is not DirectMappedTable or table.tagged \
-                or table.track_conflicts:
-            return None
-        data = table._data
-        unlim = table.entries is None
-        mask = 0 if unlim else table.entries - 1
-        shift = table.pc_shift
-        two_delta = inner.two_delta
-        accesses = 0
-
-        def predict(pc):
-            e = data.get(pc if unlim else (pc >> shift) & mask)
-            if e is None or e.seen == 0:
-                return None
-            return (e.last + e.stride * (1 + e.spec_ahead)) & WORD_MASK
-
-        def update(pc, actual):
-            nonlocal accesses
-            accesses += 1
-            idx = pc if unlim else (pc >> shift) & mask
-            e = data.get(idx)
-            if e is None:
-                e = _StrideEntry()
-                data[idx] = e
-            if e.seen == 0:
-                e.last = actual
-                e.seen = 1
-                return
-            delta = (actual - e.last) & WORD_MASK
-            if two_delta:
-                if delta == e.candidate:
-                    e.stride = delta
-                e.candidate = delta
-            else:
-                e.stride = delta
-            e.last = actual
-            e.seen += 1
-
-        def spec(pc):
-            e = data.get(pc if unlim else (pc >> shift) & mask)
-            if e is None or e.seen == 0:
-                return
-            e.spec_ahead += 1
-
-        def retire(pc):
-            e = data.get(pc if unlim else (pc >> shift) & mask)
-            if e is not None and e.spec_ahead > 0:
-                e.spec_ahead -= 1
-
-        def finalize():
-            table.accesses += accesses
-
-        return predict, update, spec, retire, finalize
+        return (lambda pc: value), None, None
     if kind is LastValuePredictor:
         table = inner._table
         if type(table) is not DirectMappedTable or table.tagged \
@@ -283,7 +229,7 @@ def _inner_ops(inner):
         def finalize():
             table.accesses += accesses
 
-        return predict, update, None, None, finalize
+        return predict, update, finalize
     if kind is DFCMPredictor:
         l1 = inner._l1
         if type(l1) is not DirectMappedTable or l1.tagged \
@@ -341,7 +287,7 @@ def _inner_ops(inner):
         def finalize():
             l1.accesses += accesses
 
-        return predict, update, None, None, finalize
+        return predict, update, finalize
     return None
 
 
@@ -367,9 +313,6 @@ def _flat_state(table):
         table.policy == "sticky-nearest",  # sticky
         table.policy == "farthest",        # farthest
         table.refresh_on_match,
-        table.track_conflicts,
-        table._owner,
-        table._owner_set,
     )
 
 
@@ -708,7 +651,7 @@ def _sgvq_vp(vp):
     if ts is None:
         return None
     (unlim, rows_get, tpresent, tdist, tvalid, tdiffs, tmask, tshift,
-     torder, sticky, farthest, refresh, track, towner, towner_set) = ts
+     torder, sticky, farthest, refresh) = ts
     stats = vp.stats
     cdata, cunlim, cmask, cshift, cup, cdown, cmax, cthr = _conf_bind(vp)
     cget = cdata.get
@@ -735,7 +678,6 @@ def _sgvq_vp(vp):
     lazy = {}       # row -> (actual, absolute window-top position)
     lazy_get = lazy.get
     accesses = 0
-    conflicts = 0
     occupied = 0
     nrows = table._nrows
     last_sel = -1
@@ -764,9 +706,8 @@ def _sgvq_vp(vp):
                                0) >= cthr, None
 
     def complete(pc, predicted, confident, tag, actual):
-        nonlocal qcount, vmask, vc, last_sel, accesses, conflicts, \
-            occupied, nrows, attempts, predictions, correct, \
-            confident_n, confident_correct
+        nonlocal qcount, vmask, vc, last_sel, accesses, occupied, nrows, \
+            attempts, predictions, correct, confident_n, confident_correct
         attempts += 1
         if predicted is not None:
             predictions += 1
@@ -804,20 +745,11 @@ def _sgvq_vp(vp):
                 tvalid[row] = 0
         else:
             row = (pc >> tshift) & tmask
-            if tpresent[row]:
-                if track:
-                    if towner_set[row] and towner[row] != pc:
-                        conflicts += 1
-                    towner[row] = pc
-                    towner_set[row] = 1
-            else:
+            if not tpresent[row]:
                 tpresent[row] = 1
                 occupied += 1
                 tdist[row] = 0
                 tvalid[row] = 0
-                if track:
-                    towner[row] = pc
-                    towner_set[row] = 1
         # -- match & select (paper's update rule), diffs compared lazily
         sv = tvalid[row]
         limit = sv if sv < vc else vc
@@ -894,7 +826,6 @@ def _sgvq_vp(vp):
             for dd in range(tvalid[row]):
                 tdiffs[rbase + dd] = (la - log[lwb - 1 - dd]) & M
         table.accesses += accesses
-        table.conflicts += conflicts
         table._occupied += occupied
         table._nrows = nrows
         if last_sel >= 0:
@@ -953,9 +884,9 @@ def _hgvq_vp(vp):
         fops = _inner_ops(filler)
         if fops is None:
             return None
-        fpredict, fupdate, _fspec, _fretire, ffinal = fops
+        fpredict, fupdate, ffinal = fops
     (unlim, rows_get, tpresent, tdist, tvalid, tdiffs, tmask, tshift,
-     torder, sticky, farthest, refresh, track, towner, towner_set) = ts
+     torder, sticky, farthest, refresh) = ts
     stats = vp.stats
     cdata, cunlim, cmask, cshift, cup, cdown, cmax, cthr = _conf_bind(vp)
     cget = cdata.get
@@ -985,7 +916,6 @@ def _hgvq_vp(vp):
     lazy_get = lazy.get
     late = 0
     accesses = 0
-    conflicts = 0
     occupied = 0
     nrows = table._nrows
     last_sel = -1
@@ -1039,8 +969,8 @@ def _hgvq_vp(vp):
                                0) >= cthr, seq
 
     def complete(pc, predicted, confident, seq, actual):
-        nonlocal late, last_sel, wb_ord, accesses, conflicts, occupied, \
-            nrows, attempts, predictions, correct, confident_n, \
+        nonlocal late, last_sel, wb_ord, accesses, occupied, nrows, \
+            attempts, predictions, correct, confident_n, \
             confident_correct, faccesses
         attempts += 1
         if predicted is not None:
@@ -1095,20 +1025,11 @@ def _hgvq_vp(vp):
                 tvalid[row] = 0
         else:
             row = (pc >> tshift) & tmask
-            if tpresent[row]:
-                if track:
-                    if towner_set[row] and towner[row] != pc:
-                        conflicts += 1
-                    towner[row] = pc
-                    towner_set[row] = 1
-            else:
+            if not tpresent[row]:
                 tpresent[row] = 1
                 occupied += 1
                 tdist[row] = 0
                 tvalid[row] = 0
-                if track:
-                    towner[row] = pc
-                    towner_set[row] = 1
         # -- match & select, window values versioned at this ordinal
         sv = tvalid[row]
         limit = sv if sv < vc else vc
@@ -1219,7 +1140,6 @@ def _hgvq_vp(vp):
                 base = dval[p] if dord[p] < lt else fillv[p]
                 tdiffs[rbase + dd] = (la - base) & M
         table.accesses += accesses
-        table.conflicts += conflicts
         table._occupied += occupied
         table._nrows = nrows
         if last_sel >= 0:

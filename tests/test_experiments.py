@@ -12,6 +12,7 @@ from repro.core.gdiff import GDiffPredictor
 from repro.harness import EXPERIMENTS, run_experiment
 from repro.harness.experiments import FIG9_TABLE_SIZES
 from repro.harness.runner import run_value_prediction
+from repro.telemetry import MetricsRegistry
 from repro.trace.cache import cached_trace
 from repro.trace.workloads import BENCHMARKS
 
@@ -55,19 +56,22 @@ class TestFig9:
         r = run_experiment("fig9", length=SHORT, benchmarks=["vpr"])
         assert r.cell("vpr", "inf") == 0.0
 
-    @pytest.mark.parametrize("kernels", ["0", "1"])
-    def test_rates_equal_the_gdiff_table(self, kernels, monkeypatch):
-        """Each rate is what a conflict-tracking gDiff predictor's table
-        counts over the same trace, on both predictor paths."""
-        monkeypatch.setenv("REPRO_KERNELS", kernels)
+    def test_rates_equal_the_gdiff_table(self):
+        """Each rate is the ``gdiff.table_conflict_rate`` gauge that a
+        gDiff predictor with a registry attached exports over the same
+        trace (an attached registry keeps it on the object path, under
+        either ``REPRO_KERNELS`` setting)."""
         r = run_experiment("fig9", length=2000, code_copies=8)
         for bench in BENCHMARKS:
             trace = cached_trace(bench, 2000, code_copies=8)
             for size, rate in zip(FIG9_TABLE_SIZES, r.row(bench)[1:]):
-                predictor = GDiffPredictor(order=8, entries=size,
-                                           track_conflicts=True)
+                registry = MetricsRegistry()
+                predictor = GDiffPredictor(order=8, entries=size)
+                predictor.attach_metrics(registry)
                 run_value_prediction(trace, {"gdiff": predictor})
-                assert rate == predictor.conflict_rate, (bench, size)
+                gauges = registry.as_dict()["gauges"]
+                assert rate == gauges["gdiff.table_conflict_rate"], \
+                    (bench, size)
 
 
 class TestFig10:

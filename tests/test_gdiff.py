@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core import GDiffPredictor
+from repro.telemetry import MetricsRegistry
 from repro.wordops import WORD_MASK, wadd
 
 
@@ -136,7 +137,8 @@ class TestMechanics:
         assert list(locked.values()) == [1]
 
     def test_conflict_rate_exposed(self):
-        g = GDiffPredictor(order=2, entries=4, track_conflicts=True)
+        g = GDiffPredictor(order=2, entries=4)
+        g.attach_metrics(MetricsRegistry())
         g.update(0x0, 1)
         g.update(0x40, 2)
-        assert g.conflict_rate > 0
+        assert g.table.conflict_rate > 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import GDiffEntry, GDiffTable
 from repro.core.table import DISTANCE_POLICIES
+from repro.telemetry import MetricsRegistry
 
 
 class TestGDiffEntry:
@@ -96,7 +97,8 @@ class TestGDiffTable:
         }
 
     def test_finite_table_aliasing_shares_entries(self):
-        table = GDiffTable(order=2, entries=4, track_conflicts=True)
+        table = GDiffTable(order=2, entries=4)
+        table.attach_metrics(MetricsRegistry())
         table.train(0x0, [1, 1])
         table.train(0x40, [1, 1])  # aliases: matches the other PC's diffs
         assert table.lookup(0x0) is table.lookup(0x40)

@@ -100,12 +100,10 @@ PREDICTOR_FACTORIES = {
                                               policy="farthest"),
     "gdiff4-no-refresh": lambda: GDiffPredictor(order=4, entries=None,
                                                 refresh_on_match=False),
-    "gdiff4-conflicts": lambda: GDiffPredictor(order=4, entries=64,
-                                               track_conflicts=True),
+    "gdiff4-conflicts": lambda: GDiffPredictor(order=4, entries=64),
     # The orders the paper's studies and the benchmark sweep run.
     "gdiff32-unlimited": lambda: GDiffPredictor(order=32, entries=None),
-    "gdiff32-bounded": lambda: GDiffPredictor(order=32, entries=64,
-                                              track_conflicts=True),
+    "gdiff32-bounded": lambda: GDiffPredictor(order=32, entries=64),
     "gdiff32-farthest": lambda: GDiffPredictor(order=32, entries=None,
                                                policy="farthest"),
     "gdiff32-nearest-no-refresh": lambda: GDiffPredictor(
@@ -444,8 +442,7 @@ def test_kernel_state_supports_chained_runs(monkeypatch):
 
 CHAINED_FACTORIES = {
     "gdiff8-delay3": lambda: GDiffPredictor(order=8, entries=None, delay=3),
-    "gdiff32-delay2": lambda: GDiffPredictor(order=32, entries=64, delay=2,
-                                             track_conflicts=True),
+    "gdiff32-delay2": lambda: GDiffPredictor(order=32, entries=64, delay=2),
     "hgvq32": lambda: HybridGDiffPredictor(order=32, entries=None),
     # The local families serve runs frame by frame.
     "stride-bounded": lambda: StridePredictor(entries=64),
