@@ -84,7 +84,6 @@ class _ColumnBuilder:
         cols["values"].append(value & _WORD_MASK)
         cols["addrs"].append(0 if addr is None else addr & _WORD_MASK)
         cols["targets"].append(0)
-        cols["latency"].append(0)
         self.count += 1
 
     def build(self, name: str) -> PackedTrace:

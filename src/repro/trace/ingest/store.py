@@ -27,6 +27,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import tempfile
 import time
 from datetime import datetime, timezone
@@ -243,11 +244,23 @@ def manifest(name: str) -> Dict[str, object]:
 
 
 def load_imported(name: str) -> PackedTrace:
-    """The canonical packed trace of imported workload *name*."""
+    """The canonical packed trace of imported workload *name*; one stored
+    at another packed format version is refused with its import command."""
     path = trace_path(name)
     if not path.exists():
         raise IngestError(f"no imported workload {name!r} "
                           f"(known: {imported_names() or 'none'})")
+    doc = manifest(name)
+    if doc.get("format_version") != PACKED_FORMAT_VERSION:
+        source = shlex.quote(str(doc["source"]))
+        if doc["adapter"] == "capture":
+            source = "--capture " + source
+        raise IngestError(
+            f"imported workload {name!r} is stored at packed format "
+            f"v{doc.get('format_version')} and this build reads "
+            f"v{PACKED_FORMAT_VERSION}; import it again: repro trace "
+            f"import {source} --name {name} --force, with the options "
+            f"'repro trace info {name}' records")
     return load_packed(path)
 
 

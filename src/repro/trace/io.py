@@ -53,7 +53,7 @@ _HEADER_PREFIX = "#repro-trace v1"
 
 #: Bumping this invalidates every cached trace (the cache keys on it and
 #: the loader rejects mismatched files).
-PACKED_FORMAT_VERSION = 1
+PACKED_FORMAT_VERSION = 2
 
 PACKED_MAGIC = b"RPTRACE\x00"
 _PACKED_END = b"RPTEND\x00\x00"

@@ -54,8 +54,6 @@ class Instruction:
         addr: effective memory address for loads/stores, or ``None``.
         taken: branch outcome for branches, else ``None``.
         target: branch target address for branches, else ``None``.
-        latency_class: optional hint for non-standard execution latency
-            (0 means "use the default for the op class").
     """
 
     pc: int
@@ -66,7 +64,6 @@ class Instruction:
     addr: Optional[int] = None
     taken: Optional[bool] = None
     target: Optional[int] = None
-    latency_class: int = 0
 
     @property
     def produces_value(self) -> bool:

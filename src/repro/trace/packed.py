@@ -17,14 +17,14 @@ Field encoding (one entry per dynamic instruction):
 * ``flags`` — per-field presence bits plus the precomputed
   ``produces_value`` bit (``array('B')``), so the hot loops test a single
   integer AND instead of a three-attribute property.
-* ``dests`` / ``latency`` — small unsigned bytes (``array('B')``).
+* ``dests`` — the destination register, one byte (``array('B')``).
 * ``srcs`` — the source-register tuple packed into one 64-bit word:
   the count in the low 4 bits, then each register in 6 bits (supports up
   to 10 sources of up to 64 architectural registers — far beyond the
   MIPS-like ISA modelled here).
 
 Traces are born as *column rows*: one tuple per instruction holding
-its nine column entries in :data:`COLUMNS` order.  The synthetic
+its eight column entries in :data:`COLUMNS` order.  The synthetic
 generators emit rows directly (through :func:`ialu_row` and its
 siblings, which precompute the flags byte), and :meth:`PackedTrace.from_rows`
 transposes them into the columns.  That packer is the one place a
@@ -85,7 +85,6 @@ COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("values", "Q"),
     ("addrs", "Q"),
     ("targets", "Q"),
-    ("latency", "B"),
 )
 
 
@@ -117,9 +116,9 @@ def unpack_srcs(word: int) -> Tuple[int, ...]:
 
 
 #: One instruction's column entries, in :data:`COLUMNS` order: ``(pc, op,
-#: flags, dest, srcs, value, addr, target, latency)``, with ``srcs`` a
+#: flags, dest, srcs, value, addr, target)``, with ``srcs`` a
 #: :func:`pack_srcs` word and absent fields 0.
-Row = Tuple[int, int, int, int, int, int, int, int, int]
+Row = Tuple[int, int, int, int, int, int, int, int]
 
 #: Rows :meth:`PackedTrace.from_rows` transposes at a time, so a streamed
 #: trace is never held whole as tuples.
@@ -139,25 +138,25 @@ _NOT_TAKEN_FLAGS = FLAG_TAKEN | FLAG_TARGET
 # Row emitters: the column rows of :func:`repro.trace.isa.ialu` and its
 # siblings.  *srcs* is a :func:`pack_srcs` word, packed once by the caller.
 def ialu_row(pc: int, dest: int, value: int, srcs: int = 0) -> Row:
-    return (pc, _IALU, _IALU_FLAGS, dest, srcs, value, 0, 0, 0)
+    return (pc, _IALU, _IALU_FLAGS, dest, srcs, value, 0, 0)
 
 
 def load_row(pc: int, dest: int, value: int, addr: int,
              srcs: int = 0) -> Row:
-    return (pc, _LOAD, _LOAD_FLAGS, dest, srcs, value, addr, 0, 0)
+    return (pc, _LOAD, _LOAD_FLAGS, dest, srcs, value, addr, 0)
 
 
 def store_row(pc: int, addr: int, srcs: int = 0) -> Row:
-    return (pc, _STORE, FLAG_ADDR, 0, srcs, 0, addr, 0, 0)
+    return (pc, _STORE, FLAG_ADDR, 0, srcs, 0, addr, 0)
 
 
 def branch_row(pc: int, taken: bool, target: int, srcs: int = 0) -> Row:
     return (pc, _BRANCH, _TAKEN_FLAGS if taken else _NOT_TAKEN_FLAGS,
-            0, srcs, 0, 0, target, 0)
+            0, srcs, 0, 0, target)
 
 
 def nop_row(pc: int, srcs: int = 0) -> Row:
-    return (pc, _NOP, 0, 0, srcs, 0, 0, 0, 0)
+    return (pc, _NOP, 0, 0, srcs, 0, 0, 0)
 
 
 def instruction_row(insn: Instruction) -> Row:
@@ -192,7 +191,7 @@ def instruction_row(insn: Instruction) -> Row:
             and (op is OpClass.IALU or op is OpClass.LOAD)):
         flag |= FLAG_PRODUCES
     return (insn.pc, int(op), flag, dest, pack_srcs(insn.srcs), value,
-            addr, target, insn.latency_class)
+            addr, target)
 
 
 def instructions(rows: Iterable[Row]) -> Iterator[Instruction]:
@@ -200,7 +199,7 @@ def instructions(rows: Iterable[Row]) -> Iterator[Instruction]:
     :func:`instruction_row`); each distinct source word unpacks once."""
     ops = _OPS
     regs: Dict[int, Tuple[int, ...]] = {}
-    for pc, op, flag, dest, srcs, value, addr, target, latency in rows:
+    for pc, op, flag, dest, srcs, value, addr, target in rows:
         src_regs = regs.get(srcs)
         if src_regs is None:
             src_regs = regs[srcs] = unpack_srcs(srcs)
@@ -212,7 +211,6 @@ def instructions(rows: Iterable[Row]) -> Iterator[Instruction]:
             addr if flag & FLAG_ADDR else None,
             bool(flag & FLAG_TAKEN_TRUE) if flag & FLAG_TAKEN else None,
             target if flag & FLAG_TARGET else None,
-            latency,
         )
 
 
@@ -276,8 +274,8 @@ class PackedTrace:
         """Pack a stream of column rows (consumed once, in bounded chunks).
 
         The one place a column's range is checked: a pc, value, addr or
-        target that is not an unsigned 64-bit word, or a dest, op, flags
-        or latency entry above 0xFF, raises ``ValueError``.
+        target that is not an unsigned 64-bit word, or a dest, op or
+        flags entry above 0xFF, raises ``ValueError``.
         """
         cols = [array(tc) for _col, tc in COLUMNS]
         rows = iter(rows)
@@ -325,7 +323,6 @@ class PackedTrace:
             addr=cols["addrs"][i] if flag & FLAG_ADDR else None,
             taken=bool(flag & FLAG_TAKEN_TRUE) if flag & FLAG_TAKEN else None,
             target=cols["targets"][i] if flag & FLAG_TARGET else None,
-            latency_class=cols["latency"][i],
         )
 
     def __getitem__(self, index):

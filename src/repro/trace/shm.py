@@ -35,8 +35,7 @@ Lifecycle:
   :class:`ShmError` at the attach site and degrades to the disk cache
   (see :func:`repro.trace.cache.cached_trace`), bit-identically.
 
-``REPRO_SHM=0`` (or the ``--no-shm`` CLI flag, which sets it) disables
-the plane entirely.
+``REPRO_SHM=0`` disables the plane entirely.
 
 Telemetry (on an attached :class:`~repro.telemetry.MetricsRegistry`):
 ``shm.publish`` / ``shm.publish_bytes`` / ``shm.publish_failed``,

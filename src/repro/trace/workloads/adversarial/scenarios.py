@@ -35,10 +35,10 @@ _PART_PC_SPACING = 0x0100_0000
 
 
 def _shift_pc(row: Row, offset: int) -> Row:
-    pc, op, flag, dest, srcs, value, addr, target, latency = row
+    pc, op, flag, dest, srcs, value, addr, target = row
     if flag & FLAG_TARGET:
         target += offset
-    return (pc + offset, op, flag, dest, srcs, value, addr, target, latency)
+    return (pc + offset, op, flag, dest, srcs, value, addr, target)
 
 
 class ComposedSpec(WorkloadSpec):

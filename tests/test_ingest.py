@@ -12,6 +12,7 @@ workloads``, ``repro cache stats``).
 import gzip
 import hashlib
 import json
+import shlex
 import struct
 import zlib
 
@@ -311,6 +312,36 @@ class TestStore:
         assert remove("b") is True
         assert remove("b") is False
         assert imported_names() == ["c"]
+
+    def test_entry_at_an_old_format_names_the_reimport(self, tmp_path,
+                                                       capsys):
+        """An entry whose manifest and header record packed format v1 is
+        refused with the command that imports it again; the manifest-only
+        commands keep working, and the named command restores the entry."""
+        from repro.cli import main
+        from repro.trace.ingest.store import manifest_path, trace_path
+
+        source = _csv_source(tmp_path / "old.csv", rows=40)
+        doc = import_trace(source, name="old")
+        path = trace_path("old")
+        data = bytearray(path.read_bytes())
+        data[8:10] = struct.pack("<H", 1)
+        path.write_bytes(bytes(data))
+        manifest_path("old").write_text(
+            json.dumps(dict(doc, format_version=1)), encoding="utf-8")
+
+        with pytest.raises(IngestError) as err:
+            load_imported("old")
+        command = f"repro trace import {source} --name old --force"
+        assert command in str(err.value)
+        assert "v1" in str(err.value)
+        assert main(["trace", "list"]) == 0
+        assert main(["trace", "info", "old"]) == 0
+        capsys.readouterr()
+
+        assert main(shlex.split(command)[1:]) == 0
+        assert len(load_imported("old")) == 40
+        assert manifest("old")["content_sha256"] == doc["content_sha256"]
 
     def test_missing_source_and_missing_workload(self, tmp_path):
         with pytest.raises(IngestError):

@@ -98,18 +98,17 @@ class TestPackChecks:
         load(0x1000, 3, 0, 1 << 64),
         branch(0x1000, True, 1 << 64),
         ialu(0x1000, 256, 1),
-        Instruction(pc=0x1000, op=OpClass.NOP, latency_class=256),
         ialu(0x1000, 3, 1, srcs=tuple(range(11))),
         ialu(0x1000, 3, 1, srcs=(64,)),
     ], ids=["pc-neg", "pc-wide", "value", "addr", "target", "dest",
-            "latency", "src-count", "src-reg"])
+            "src-count", "src-reg"])
     def test_out_of_range_field_rejected(self, insn):
         with pytest.raises(ValueError):
             PackedTrace.from_instructions([ialu(0x0FFC, 1, 0), insn])
 
     def test_boundaries_accepted(self):
         insns = [
-            Instruction(pc=WORD_MASK, op=OpClass.NOP, latency_class=255),
+            Instruction(pc=WORD_MASK, op=OpClass.NOP),
             load(0x1000, 255, WORD_MASK, WORD_MASK, srcs=tuple(range(10))),
             branch(0x1004, False, WORD_MASK, srcs=(63,)),
         ]

@@ -4,7 +4,7 @@ Every experiment replays traces the generators synthesise, and the trace
 cache keys entries by ``(workload, seed, length, code_copies)`` alone: a
 generator change that reorders one random draw would silently change
 every published table while the cache kept serving the old traces.  Each
-digest below is the sha256 of a trace's nine columns, in ``COLUMNS``
+digest below is the sha256 of a trace's eight columns, in ``COLUMNS``
 order and little-endian, so any change to an emitted field, to the order
 of the instructions or to the packing fails here.
 
@@ -25,31 +25,31 @@ LENGTH = 3000
 #: ``(workload, seed, code_copies) -> sha256``; a ``None`` seed is the
 #: registry seed.
 GOLDEN = {
-    ("bzip2", None, 1): "185fca2793423e84f22317d3854d738903282928d30a3ac8beaf3a94af11fd78",
-    ("bzip2", 1601, 1): "fec3c8d181cbeedf2da1017083e0f24e6445055cf7a1ffcdf9399aabc4facce6",
-    ("gap", None, 1): "752e07b7e62bcbe3294678bb6120da2b8d4791f6b9eea763499a64cc45a1a8c4",
-    ("gap", 1601, 1): "5218d9ea93bb8f600e6e80ee6bafe99228a8b646b7dcd95d945d5e1523f700ad",
-    ("gcc", None, 1): "678b25f5223539dda71e12afdf6e76da3860af5942962f0ec4c63e819bb76b7c",
-    ("gcc", 1601, 1): "a0395c9b625211bbcc55d8408af5da23a23d37bb3bc5634688e4c899ee9c5a7e",
-    ("gzip", None, 1): "7cac96be9314e543873fcb19604c52c28dbbdb7ee256f720e139e8e4e6455806",
-    ("gzip", 1601, 1): "a891ad560b5dd363db14f894b77454854e4437f8c61733b0342ae05aaef577d3",
-    ("mcf", None, 1): "1fb7db4ccded73e8e1e803b15d32a23d3b72012c9d2cd9439ca9e2190df4f35c",
-    ("mcf", 1601, 1): "488ece4e1b8990b77a04f1134e8b9bb88f8fa9d323a02e14a97976fe37027731",
-    ("parser", None, 1): "f3726b72e4b6f5f07c3694388883df2e3014c930dc1ae43a6bd7c4379a161c6c",
-    ("parser", 1601, 1): "1bd7bf3c995ae048809f14e08e053c44d9d991e8feca0c74cf9350170e010af3",
-    ("perl", None, 1): "da3a5ce3d08ba78a1abf68b74160e3decf3fc645a667f72dd1137e49086466be",
-    ("perl", 1601, 1): "1642720a14d6c5d8c5b4792ffd284378aa52130cb6ceffe5738251715f55df89",
-    ("twolf", None, 1): "f4d0f31e274f19fe7a8b0b4b1b812ae732d776a00da99469fa13e812a31e8b13",
-    ("twolf", 1601, 1): "b27b6bdf30403e7312ab765c618f67613b51f914f73a091e7a340d3b9d981a40",
-    ("vortex", None, 1): "f8a690cf4d34d697e988eb01e16ffb1deaddb79222772d055e9a9f7fbf327343",
-    ("vortex", 1601, 1): "a54d1ad1de192dfd63159884a217033e1cbfe698f411202b7e02f9183370dcec",
-    ("vpr", None, 1): "798f7eac125baef7be1217687a659b0fb24def03734d65078e20130b76209a61",
-    ("vpr", 1601, 1): "4ed0bc6b91f1c76b4f1aca0880e63b43305969a6c71c3b3ee8fd8b654826e1c1",
-    ("gcc", None, 4): "88cc8b2761db2291f332abd5af58bd85e0d77a676976400390ca57939dd73fc8",
-    ("adv-phase-shift", None, 1): "8c34951cb228b58ecf4f2fca19f34ee11a569588d372e17f6f50e9e6fe0d0540",
-    ("adv-drift", None, 1): "d01aeda55f229ab72fa53c65353f3c5086ff8bfe74f18580707d874a26bf40e4",
-    ("adv-burst", None, 1): "adf4051ed6e6b652a04686f5c90066b489b1b34956277f311fc2390aeab1660b",
-    ("adv-entropy-ramp", None, 1): "b7ea2a0cc8959b8ba2d54aac5a81da77be58770fb828e699552e1fb14c795775",
+    ("bzip2", None, 1): "adf89e9b0420d19f74ebdc2bc9d98ff56b98dcd7313c09f29459804b96fb849d",
+    ("bzip2", 1601, 1): "5e3fd2a3dc18b727dac9ab9462edd50dc490dbf18920f7da2fe29df0e9dae795",
+    ("gap", None, 1): "8490c3510f720097e02364b2719d9d271fa191abc88ec618afa71ceb0c01b941",
+    ("gap", 1601, 1): "5ab47686397a5644705426d3e815b567d260e7ac4fb5ff9d22f7b3410ba5e42e",
+    ("gcc", None, 1): "e59c02473c40cd0072972732b0671da5e64051f1b82af195262f9c671c24f2c8",
+    ("gcc", 1601, 1): "d4313ac689ddc90c857f2727a05144638fdbff200b659cddfbfadc16f49c1fc4",
+    ("gzip", None, 1): "d2ee3c60d92648dc07f4fbf01e0a40aae22bdf5cb1842ba6d8cd9aac11b33e42",
+    ("gzip", 1601, 1): "3a7c61b58d2468211904c75c2f063c2f87ee67bee4b73964b90bb94caf393327",
+    ("mcf", None, 1): "6990c02ed5a8b161f2a80cad3a7bd74b8c59a3770606ed11bdcee6b062a8e9d4",
+    ("mcf", 1601, 1): "9ca6662c5d153505ba353ef8d4f1f487f2bcbd5fb8b1f85305c18eb329065965",
+    ("parser", None, 1): "e9e98fd666ce1bb7b38596d123ee06f50a710ddabbec19c389d814da985a04cc",
+    ("parser", 1601, 1): "fa0946adaaa50eeca5c793b63423c0870866de8e915cd86a46d2d8f6aced22b8",
+    ("perl", None, 1): "0e291ab28c379b9e394ab101d4ae3af338800f21b16b50c6a96d938f54dd5b7a",
+    ("perl", 1601, 1): "f78428d66fb53563bf8f89368bdb195529fef95230c9f4c27be57d755867c6d5",
+    ("twolf", None, 1): "9124f7fb8fa65dd70f5fd46787f1352db4a1b3fedc38b12a0765fce5b9138e4a",
+    ("twolf", 1601, 1): "48272074364250e595ba14e97cf4d3428c9a899554b11ef939840f18fce2f957",
+    ("vortex", None, 1): "579f8929a98063306a132c5f0add14f869a41da272b40fa34a3558ff2b423111",
+    ("vortex", 1601, 1): "8c2b6903cbb2fdea78da968bee4d65b819f848f6aeed4ee226c18cbbb483f2ce",
+    ("vpr", None, 1): "1a78bfde47a61474b28280ff29d07f2f8b0e45aa41f2e02f7eb6bf90a1ddff02",
+    ("vpr", 1601, 1): "177d338b90cb6c9a33e76d6a871340b261bea6f23ef4a972f05e2b0e0b8e61d6",
+    ("gcc", None, 4): "b238c6845b3b03e41be62a55d29b00c814fda872130a059b0794cd1ddcc4c7fc",
+    ("adv-phase-shift", None, 1): "a6844d4e2aac31ac7401c23402f9586dc18a4c3b15a560ac5595ba290e5f3179",
+    ("adv-drift", None, 1): "5ef35af266ea929784255ccb9d1420d9e31769151942b580995ad6188753cf01",
+    ("adv-burst", None, 1): "d916538f639eb7d4fc54647325c50827c9a08b8fcf798727433c78047e64402c",
+    ("adv-entropy-ramp", None, 1): "1ee98d970829e3004b694ee078d359b3bfd46977c495ce3dc406fa187e4f6575",
 }
 
 
