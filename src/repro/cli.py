@@ -622,8 +622,6 @@ def cmd_run_all(args: argparse.Namespace) -> int:
         kwargs_for = {name: {"benchmarks": benchmarks}
                       for name in names if name != "fig12"}
     progress = tele.progress("run-all: ")
-    if getattr(args, "no_shm", False):
-        os.environ["REPRO_SHM"] = "0"
     jobs = args.jobs
     if getattr(args, "profile", False):
         # Worker processes are invisible to the parent's profiler; a
@@ -922,8 +920,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     out = tele.human
 
     if args.action in ("run", "resume"):
-        if getattr(args, "no_shm", False):
-            os.environ["REPRO_SHM"] = "0"
         if args.action == "resume" and not store.exists():
             raise SystemExit(f"nothing to resume: {store.root} does not "
                              "exist (use 'campaign run')")
@@ -1214,9 +1210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_all.add_argument("--profile", action="store_true",
                        help="run under cProfile (serial) and print the "
                             "top-20 cumulative entries to stderr")
-    p_all.add_argument("--no-shm", action="store_true",
-                       help="disable the shared-memory trace plane "
-                            "(workers load traces from the disk cache)")
 
     # Telemetry flags live on the leaf action parsers only: sharing the
     # parent with ``p_cache`` would let the leaf's defaults overwrite
@@ -1273,9 +1266,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(for testing interrupt/resume)")
         p.add_argument("--no-warm", action="store_true",
                        help="skip the up-front trace cache warm")
-        p.add_argument("--no-shm", action="store_true",
-                       help="disable the shared-memory trace plane "
-                            "(workers load traces from the disk cache)")
 
     p_status = camp_sub.add_parser("status", parents=[telemetry],
                                    help="per-cell completion state from "

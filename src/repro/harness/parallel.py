@@ -65,8 +65,8 @@ POOL_FAILURES = (BrokenProcessPool, OSError, PermissionError,
 
 #: Environment keys with this prefix are mirrored into persistent workers
 #: before every dispatch: a forked worker outlives the environment it was
-#: born under (tests monkeypatch ``REPRO_CACHE_DIR``; the CLI flips
-#: ``REPRO_SHM``), so each call re-synchronises.
+#: born under (tests monkeypatch ``REPRO_CACHE_DIR`` and ``REPRO_SHM``),
+#: so each call re-synchronises.
 _ENV_PREFIX = "REPRO_"
 
 

@@ -217,7 +217,7 @@ class TestDisabled:
         assert shm.shm_trace(*key) is None
 
     def test_disabled_path_bit_identical(self, monkeypatch):
-        """--no-shm (REPRO_SHM=0) must serve byte-for-byte the same trace
+        """REPRO_SHM=0 must serve byte-for-byte the same trace
         through the disk path as the shm path serves."""
         via_shm, key = _packed()
         shm.publish(via_shm, key)
