@@ -56,11 +56,12 @@ class TestFig9:
         r = run_experiment("fig9", length=SHORT, benchmarks=["vpr"])
         assert r.cell("vpr", "inf") == 0.0
 
-    def test_rates_equal_the_gdiff_table(self):
+    @pytest.mark.parametrize("kernels", ["0", "1"])
+    def test_rates_equal_the_gdiff_table(self, kernels, monkeypatch):
         """Each rate is the ``gdiff.table_conflict_rate`` gauge that a
         gDiff predictor with a registry attached exports over the same
-        trace (an attached registry keeps it on the object path, under
-        either ``REPRO_KERNELS`` setting)."""
+        trace, under either ``REPRO_KERNELS`` setting."""
+        monkeypatch.setenv("REPRO_KERNELS", kernels)
         r = run_experiment("fig9", length=2000, code_copies=8)
         for bench in BENCHMARKS:
             trace = cached_trace(bench, 2000, code_copies=8)
