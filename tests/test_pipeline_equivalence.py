@@ -1,7 +1,10 @@
 """The pipeline kernel must be bit-identical to the object core.
 
 Mirrors ``test_kernel_equivalence.py`` one layer up: every supported
-predictor scheme × gating × reissue-policy combination is run through
+predictor scheme (the local adapters with and without speculative
+update, aliasing tables, every gDiff distance policy, with and without
+refresh on match, and each HGVQ filler) × gating × reissue-policy
+combination is run through
 :meth:`OutOfOrderCore.run` twice — once with ``REPRO_KERNELS=1`` (the
 event-driven SoA kernel) and once forced onto the object path with
 ``REPRO_KERNELS=0`` — asserting equal :class:`SimResult` (cycles, IPC
@@ -25,7 +28,7 @@ import os
 
 import pytest
 
-from repro.core import GDiffPredictor
+from repro.core import GDiffPredictor, HybridGDiffPredictor
 from repro.harness.experiments import great_latency_config
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.ooo import OutOfOrderCore
@@ -47,10 +50,22 @@ def make_vp(kind):
         return LocalPredictorAdapter(StridePredictor(entries=256))
     if kind == "stride_unlim":
         return LocalPredictorAdapter(StridePredictor())
+    if kind == "stride_spec":
+        return LocalPredictorAdapter(StridePredictor(entries=256),
+                                     spec_update=True)
+    if kind == "stride1_spec":
+        return LocalPredictorAdapter(
+            StridePredictor(entries=64, two_delta=False), spec_update=True)
     if kind == "lv":
         return LocalPredictorAdapter(LastValuePredictor(entries=128))
+    if kind == "lv_spec":
+        return LocalPredictorAdapter(LastValuePredictor(entries=128),
+                                     spec_update=True)
     if kind == "dfcm":
         return LocalPredictorAdapter(DFCMPredictor(order=3, l1_entries=512))
+    if kind == "dfcm_alias":
+        # 16 level-1 slots: many PCs share a slot and its stride context.
+        return LocalPredictorAdapter(DFCMPredictor(order=4, l1_entries=16))
     if kind == "const":
         return LocalPredictorAdapter(ConstantPredictor(value=7))
     if kind == "sgvq":
@@ -63,6 +78,16 @@ def make_vp(kind):
         vp = SGVQAdapter(order=32, entries=8192)
         vp.gdiff = GDiffPredictor(order=32, entries=8192, policy="farthest")
         return vp
+    if kind in ("sgvq_nearest", "sgvq_farthest"):
+        vp = SGVQAdapter(order=16, entries=512)
+        vp.gdiff = GDiffPredictor(order=16, entries=512,
+                                  policy=kind.split("_")[1])
+        return vp
+    if kind == "sgvq_norefresh":
+        vp = SGVQAdapter(order=16, entries=512)
+        vp.gdiff = GDiffPredictor(order=16, entries=512,
+                                  refresh_on_match=False)
+        return vp
     if kind == "sgvq_thr0":
         return SGVQAdapter(order=16, entries=256,
                            confidence=ConfidenceTable(threshold=0))
@@ -70,6 +95,15 @@ def make_vp(kind):
         return HGVQAdapter(order=16, entries=512)
     if kind == "hgvq_unlim":
         return HGVQAdapter(order=8)
+    if kind in ("hgvq_nearest", "hgvq_farthest"):
+        vp = HGVQAdapter(order=16, entries=512)
+        vp.hybrid = HybridGDiffPredictor(order=16, entries=512,
+                                         policy=kind.split("_")[1])
+        return vp
+    if kind == "hgvq_stride1":
+        return HGVQAdapter(order=16, entries=512,
+                           filler=StridePredictor(entries=64,
+                                                  two_delta=False))
     if kind == "hgvq_thr0":
         return HGVQAdapter(order=16, entries=256,
                            confidence=ConfidenceTable(threshold=0))
@@ -189,15 +223,18 @@ def snap_vp(vp):
                              tuple(t._diffs[base:base + v])))
             out["nrows"] = t._nrows
         else:
+            owners = t._owner_set  # kept only where the table reads them
             for row in range(t.entries):
                 if t._present[row]:
                     v = t._valid[row]
                     base = row * t.order
                     rows.append((row, t._dist[row], v,
                                  tuple(t._diffs[base:base + v]),
-                                 t._owner[row] if t._owner_set[row]
+                                 t._owner[row]
+                                 if owners is not None and owners[row]
                                  else None))
             out["occ"] = t._occupied
+        out["keeps_owners"] = t._owner is not None
         out["rows"] = rows
     return out
 
@@ -223,14 +260,33 @@ CONFIGS = [
     ("stride", False, "default", 11),
     ("stride", True, "great", 11),
     ("stride_unlim", True, "default", 11),
+    ("stride_spec", False, "default", 11),
+    ("stride_spec", False, "great", 11),
+    ("stride_spec", True, "default", 11),
+    ("stride_spec", True, "great", 11),
+    ("stride1_spec", False, "default", 11),
+    ("stride1_spec", False, "great", 11),
+    ("stride1_spec", True, "default", 11),
+    ("stride1_spec", True, "great", 11),
     ("lv", False, "default", 11),
+    ("lv_spec", False, "default", 11),
+    ("lv_spec", True, "great", 11),
     ("dfcm", True, "great", 11),
+    ("dfcm_alias", False, "default", 11),
+    ("dfcm_alias", True, "great", 11),
+    ("const", False, "default", 11),
     ("const", True, "default", 11),
     ("sgvq", False, "default", 11),
     ("sgvq", True, "great", 11),
     ("sgvq", True, "great", 99),
     ("sgvq_unlim", False, "great", 11),
     ("sgvq_thr0", True, "great", 11),
+    ("sgvq_nearest", False, "default", 11),
+    ("sgvq_nearest", True, "great", 11),
+    ("sgvq_farthest", False, "default", 11),
+    ("sgvq_farthest", True, "great", 11),
+    ("sgvq_norefresh", False, "default", 11),
+    ("sgvq_norefresh", True, "great", 11),
     ("sgvq32", False, "default", 11),
     ("sgvq32", True, "great", 11),
     ("sgvq32_farthest", True, "great", 11),
@@ -239,6 +295,12 @@ CONFIGS = [
     ("hgvq", True, "great", 99),
     ("hgvq_unlim", True, "default", 11),
     ("hgvq_thr0", True, "great", 11),
+    ("hgvq_nearest", False, "default", 11),
+    ("hgvq_nearest", True, "great", 11),
+    ("hgvq_farthest", False, "default", 11),
+    ("hgvq_farthest", True, "great", 11),
+    ("hgvq_stride1", False, "default", 11),
+    ("hgvq_stride1", True, "great", 11),
     ("hgvq_lv", False, "default", 11),
     ("hgvq_lv", True, "great", 11),
     ("hgvq_dfcm", False, "default", 11),
