@@ -68,10 +68,15 @@ loop over flat state, applying the same playbook the predictor kernels in
 
 * **Fused value-prediction hooks.**  The ``vp.py`` adapters are
   compiled into dispatch/complete closures over the flat predictor
-  state from PR 3 (ring-buffer GVQ/HGVQ,
+  state (ring-buffer GVQ/HGVQ,
   :class:`~repro.core.table.FlatGDiffTable`, dict-backed local tables),
   with prediction-stats and confidence training inlined and stat
-  counters flushed at the end.  The gDiff paths reuse PR 3's lazy
+  counters flushed at the end.  Each local family (constant, last
+  value, stride, DFCM) has one compiled form, the
+  ``predict``/``train``/``finalize`` closures of :func:`_local_ops`: a
+  local adapter's hooks call its ``predict`` and ``train`` around the
+  inlined gate lookup and scoring, and the HGVQ hooks call the filler's
+  at dispatch and write-back.  The gDiff paths keep lazy
   difference vectors: queue pushes go to an append-only log (HGVQ
   deposits carry a write-back ordinal so out-of-order deposits read
   back exactly the values a train-time snapshot saw), trained rows are
@@ -120,7 +125,7 @@ from typing import Optional
 from ..core.gdiff import GDiffPredictor
 from ..core.gvq import GlobalValueQueue, SlottedValueQueue
 from ..core.hybrid import HybridGDiffPredictor
-from ..core.kernels import kernels_enabled
+from ..core.kernels import _local_table_fits, kernels_enabled
 from ..core.table import FlatGDiffTable
 from ..predictors.base import ConstantPredictor, PredictionStats
 from ..predictors.confidence import ConfidenceTable
@@ -196,99 +201,175 @@ def _conf_bind(vp):
             conf.threshold)
 
 
-def _inner_ops(inner):
-    """Compile a non-stride HGVQ filler into flat closures, or None to
-    decline (the stride filler is inlined in :func:`_hgvq_vp`).
+def _local_ops(inner, spec_update):
+    """Compile a local predictor into flat closures, or None to decline.
 
-    Returns ``(predict, update, finalize)``; the constant filler has no
-    ``update`` or ``finalize`` (None).
+    The one compiled form of the constant, last-value, stride and DFCM
+    families, shared by the local adapter's hooks and the HGVQ filler.
+    Returns ``(predict, train, finalize)``: ``predict(pc)`` gives the
+    value or None (with *spec_update*, a stride prediction also advances
+    the entry's ``spec_ahead``); ``train(pc, tag, actual)`` counts the
+    access, retires one speculation when *tag* is set (stride only) and
+    trains; ``finalize()`` adds the access count to the table.  The
+    constant predictor has no ``train`` or ``finalize`` (None).  Declines
+    other predictor types and tables that are not a plain untagged
+    :class:`~repro.tables.DirectMappedTable` without conflict tracking.
+
+    DFCM keeps its second-level context hash *rolling* (two multiplies
+    instead of *order*, bit-exact) in a slot-keyed, pc-validated cache
+    shared by predict and train: the event-order hooks revisit a slot
+    between its trains, where the row-major profile kernel keeps the
+    hash in row locals.
     """
     kind = type(inner)
     if kind is ConstantPredictor:
         value = inner.value
         return (lambda pc: value), None, None
-    if kind is LastValuePredictor:
+    if kind is StridePredictor or kind is LastValuePredictor:
         table = inner._table
-        if type(table) is not DirectMappedTable or table.tagged \
-                or table.track_conflicts:
-            return None
-        data = table._data
-        unlim = table.entries is None
-        mask = 0 if unlim else table.entries - 1
-        shift = table.pc_shift
-        accesses = 0
+    elif kind is DFCMPredictor:
+        table = inner._l1
+    else:
+        return None
+    if type(table) is not DirectMappedTable or not _local_table_fits(table):
+        return None
+    data = table._data
+    dget = data.get
+    unlim = table.entries is None
+    mask = 0 if unlim else table.entries - 1
+    shift = table.pc_shift
+    M = WORD_MASK
+    accesses = 0
 
+    def finalize():
+        table.accesses += accesses
+
+    if kind is LastValuePredictor:
         def predict(pc):
-            return data.get(pc if unlim else (pc >> shift) & mask)
+            return dget(pc if unlim else (pc >> shift) & mask)
 
-        def update(pc, actual):
+        def train(pc, tag, actual):
             nonlocal accesses
             accesses += 1
             data[pc if unlim else (pc >> shift) & mask] = actual
 
-        def finalize():
-            table.accesses += accesses
+        return predict, train, finalize
 
-        return predict, update, finalize
-    if kind is DFCMPredictor:
-        l1 = inner._l1
-        if type(l1) is not DirectMappedTable or l1.tagged \
-                or l1.track_conflicts:
-            return None
-        data = l1._data
-        l2 = inner._l2
-        unlim = l1.entries is None
-        mask = 0 if unlim else l1.entries - 1
-        shift = l1.pc_shift
-        order = inner.order
-        l2e = inner.l2_entries
-        accesses = 0
+    if kind is StridePredictor:
+        two_delta = inner.two_delta
 
         def predict(pc):
-            e = data.get(pc if unlim else (pc >> shift) & mask)
-            if e is None:
+            e = dget(pc if unlim else (pc >> shift) & mask)
+            if e is None or e.seen == 0:
                 return None
-            strides = e.strides
-            if len(strides) < order:
-                return None
-            h = pc & WORD_MASK
-            for v in strides:
-                h = (h * _HASH_MULT + v) & WORD_MASK
-            s2 = l2.get(h % l2e)
-            if s2 is None:
-                return None
-            return (e.last + s2) & WORD_MASK
+            predicted = (e.last + e.stride * (1 + e.spec_ahead)) & M
+            if spec_update:
+                e.spec_ahead += 1
+            return predicted
 
-        def update(pc, actual):
+        def train(pc, tag, actual):
             nonlocal accesses
             accesses += 1
             idx = pc if unlim else (pc >> shift) & mask
-            e = data.get(idx)
+            e = dget(idx)
             if e is None:
-                e = _DFCMEntry()
+                e = _StrideEntry()
+                e.last = actual
+                e.seen = 1
                 data[idx] = e
+                return
+            if tag and e.spec_ahead > 0:
+                e.spec_ahead -= 1
             if e.seen == 0:
                 e.last = actual
                 e.seen = 1
                 return
-            stride = (actual - e.last) & WORD_MASK
-            strides = e.strides
-            if len(strides) >= order:
-                h = pc & WORD_MASK
-                for v in strides:
-                    h = (h * _HASH_MULT + v) & WORD_MASK
-                l2[h % l2e] = stride
-            strides.append(stride)
-            if len(strides) > order:
-                strides.pop(0)
+            delta = (actual - e.last) & M
+            if two_delta:
+                if delta == e.candidate:
+                    e.stride = delta
+                e.candidate = delta
+            else:
+                e.stride = delta
             e.last = actual
             e.seen += 1
 
-        def finalize():
-            l1.accesses += accesses
+        return predict, train, finalize
 
-        return predict, update, finalize
-    return None
+    l2 = inner._l2
+    l2get = l2.get
+    order = inner.order
+    l2e = inner.l2_entries
+    hmul = _HASH_MULT
+    hmul_k = pow(hmul, order, 1 << 64)
+    cmul = (hmul_k - hmul_k * hmul) & M
+    # slot -> (pc, rolling level-2 hash, salt term); a cache entry exists
+    # only while it matches the slot's latest stride context (every train
+    # of a full-context slot rewrites it, and contexts never shrink, so a
+    # short-context slot can hold no entry).
+    hcache = {}
+    hget = hcache.get
+
+    def predict(pc):
+        idx = pc if unlim else (pc >> shift) & mask
+        e = dget(idx)
+        if e is None:
+            return None
+        strides = e.strides
+        if len(strides) < order:
+            return None
+        cached = hget(idx)
+        if cached is not None and cached[0] == pc:
+            h = cached[1]
+        else:
+            h = pc & M
+            for v in strides:
+                h = (h * hmul + v) & M
+            hcache[idx] = (pc, h, (pc * cmul) & M)
+        s2 = l2get(h % l2e)
+        if s2 is None:
+            return None
+        return (e.last + s2) & M
+
+    def train(pc, tag, actual):
+        nonlocal accesses
+        accesses += 1
+        idx = pc if unlim else (pc >> shift) & mask
+        e = dget(idx)
+        if e is None:
+            e = _DFCMEntry()
+            e.last = actual
+            e.seen = 1
+            data[idx] = e
+            return
+        if e.seen == 0:
+            e.last = actual
+            e.seen = 1
+            return
+        stride = (actual - e.last) & M
+        strides = e.strides
+        if len(strides) >= order:
+            cached = hget(idx)
+            if cached is not None and cached[0] == pc:
+                h = cached[1]
+                csalt = cached[2]
+            else:
+                h = pc & M
+                for v in strides:
+                    h = (h * hmul + v) & M
+                csalt = (pc * cmul) & M
+            l2[h % l2e] = stride
+            hcache[idx] = (pc,
+                           (h * hmul + stride - strides[0] * hmul_k
+                            + csalt) & M,
+                           csalt)
+        strides.append(stride)
+        if len(strides) > order:
+            strides.pop(0)
+        e.last = actual
+        e.seen += 1
+
+    return predict, train, finalize
 
 
 def _flat_state(table):
@@ -317,44 +398,36 @@ def _flat_state(table):
 
 
 def _local_vp(vp):
-    """Compile a LocalPredictorAdapter into fully inlined hooks.
+    """Fused LocalPredictorAdapter hooks over :func:`_local_ops`.
 
-    Each supported inner predictor gets its own dispatch/complete pair
-    with the table op, the confidence-gate lookup and the stats /
-    confidence scoring all inlined, mirroring the fused profile loops in
-    :mod:`repro.core.kernels` — no per-instruction call survives beyond
-    the two hook invocations themselves.  The DFCM pair additionally
-    keeps the second-level context hash *rolling* (two multiplies
-    instead of *order*, bit-exact) in a slot-keyed, pc-validated cache
-    shared by predict and train.
+    Dispatch calls the family's ``predict`` and inlines the
+    confidence-gate lookup; complete inlines the stats / confidence
+    scoring and calls ``train``.  The tag is ``spec_update`` exactly when
+    the dispatch predicted, so write-back retires only the speculations
+    that dispatch made.
     """
-    inner = vp.inner
-    kind = type(inner)
+    ops = _local_ops(vp.inner, vp.spec_update)
+    if ops is None:
+        return None
+    predict, train, inner_finalize = ops
     stats = vp.stats
     cdata, cunlim, cmask, cshift, cup, cdown, cmax, cthr = _conf_bind(vp)
     cget = cdata.get
     spec_mode = vp.spec_update
-    M = WORD_MASK
     attempts = predictions = correct = confident_n = confident_correct = 0
 
-    def flush():
-        stats.attempts += attempts
-        stats.predictions += predictions
-        stats.correct += correct
-        stats.confident += confident_n
-        stats.confident_correct += confident_correct
-
-    if kind is ConstantPredictor:
-        value = inner.value
-
-        def dispatch(pc):
-            return value, cget(pc if cunlim else (pc >> cshift) & cmask,
+    def dispatch(pc):
+        predicted = predict(pc)
+        if predicted is None:
+            return None, False, False
+        return predicted, cget(pc if cunlim else (pc >> cshift) & cmask,
                                0) >= cthr, spec_mode
 
-        def complete(pc, predicted, confident, tag, actual):
-            nonlocal attempts, predictions, correct, confident_n, \
-                confident_correct
-            attempts += 1
+    def complete(pc, predicted, confident, tag, actual):
+        nonlocal attempts, predictions, correct, confident_n, \
+            confident_correct
+        attempts += 1
+        if predicted is not None:
             predictions += 1
             cidx = pc if cunlim else (pc >> cshift) & cmask
             cur = cget(cidx, 0)
@@ -373,252 +446,19 @@ def _local_vp(vp):
                 if cur < 0:
                     cur = 0
             cdata[cidx] = cur
+        if train is not None:
+            train(pc, tag, actual)
 
-        return dispatch, complete, flush
+    def finalize():
+        if inner_finalize is not None:
+            inner_finalize()
+        stats.attempts += attempts
+        stats.predictions += predictions
+        stats.correct += correct
+        stats.confident += confident_n
+        stats.confident_correct += confident_correct
 
-    if kind is StridePredictor:
-        table = inner._table
-        if type(table) is not DirectMappedTable or table.tagged \
-                or table.track_conflicts:
-            return None
-        data = table._data
-        dget = data.get
-        unlim = table.entries is None
-        mask = 0 if unlim else table.entries - 1
-        shift = table.pc_shift
-        two_delta = inner.two_delta
-        accesses = 0
-
-        def dispatch(pc):
-            e = dget(pc if unlim else (pc >> shift) & mask)
-            if e is None or e.seen == 0:
-                return None, False, False
-            predicted = (e.last + e.stride * (1 + e.spec_ahead)) & M
-            confident = cget(pc if cunlim else (pc >> cshift) & cmask,
-                             0) >= cthr
-            if spec_mode:
-                e.spec_ahead += 1
-                return predicted, confident, True
-            return predicted, confident, False
-
-        def complete(pc, predicted, confident, tag, actual):
-            nonlocal attempts, predictions, correct, confident_n, \
-                confident_correct, accesses
-            attempts += 1
-            if predicted is not None:
-                predictions += 1
-                cidx = pc if cunlim else (pc >> cshift) & cmask
-                cur = cget(cidx, 0)
-                if predicted == actual:
-                    correct += 1
-                    if confident:
-                        confident_n += 1
-                        confident_correct += 1
-                    cur += cup
-                    if cur > cmax:
-                        cur = cmax
-                else:
-                    if confident:
-                        confident_n += 1
-                    cur -= cdown
-                    if cur < 0:
-                        cur = 0
-                cdata[cidx] = cur
-            accesses += 1
-            idx = pc if unlim else (pc >> shift) & mask
-            e = dget(idx)
-            if tag and e is not None and e.spec_ahead > 0:
-                e.spec_ahead -= 1
-            if e is None:
-                e = _StrideEntry()
-                e.last = actual
-                e.seen = 1
-                data[idx] = e
-            elif e.seen == 0:
-                e.last = actual
-                e.seen = 1
-            else:
-                delta = (actual - e.last) & M
-                if two_delta:
-                    if delta == e.candidate:
-                        e.stride = delta
-                    e.candidate = delta
-                else:
-                    e.stride = delta
-                e.last = actual
-                e.seen += 1
-
-        def finalize():
-            table.accesses += accesses
-            flush()
-
-        return dispatch, complete, finalize
-
-    if kind is LastValuePredictor:
-        table = inner._table
-        if type(table) is not DirectMappedTable or table.tagged \
-                or table.track_conflicts:
-            return None
-        data = table._data
-        dget = data.get
-        unlim = table.entries is None
-        mask = 0 if unlim else table.entries - 1
-        shift = table.pc_shift
-        accesses = 0
-
-        def dispatch(pc):
-            predicted = dget(pc if unlim else (pc >> shift) & mask)
-            if predicted is None:
-                return None, False, False
-            return predicted, cget(pc if cunlim else
-                                   (pc >> cshift) & cmask,
-                                   0) >= cthr, spec_mode
-
-        def complete(pc, predicted, confident, tag, actual):
-            nonlocal attempts, predictions, correct, confident_n, \
-                confident_correct, accesses
-            attempts += 1
-            if predicted is not None:
-                predictions += 1
-                cidx = pc if cunlim else (pc >> cshift) & cmask
-                cur = cget(cidx, 0)
-                if predicted == actual:
-                    correct += 1
-                    if confident:
-                        confident_n += 1
-                        confident_correct += 1
-                    cur += cup
-                    if cur > cmax:
-                        cur = cmax
-                else:
-                    if confident:
-                        confident_n += 1
-                    cur -= cdown
-                    if cur < 0:
-                        cur = 0
-                cdata[cidx] = cur
-            accesses += 1
-            data[pc if unlim else (pc >> shift) & mask] = actual
-
-        def finalize():
-            table.accesses += accesses
-            flush()
-
-        return dispatch, complete, finalize
-
-    if kind is DFCMPredictor:
-        l1 = inner._l1
-        if type(l1) is not DirectMappedTable or l1.tagged \
-                or l1.track_conflicts:
-            return None
-        data = l1._data
-        dget = data.get
-        l2 = inner._l2
-        l2get = l2.get
-        unlim = l1.entries is None
-        mask = 0 if unlim else l1.entries - 1
-        shift = l1.pc_shift
-        order = inner.order
-        l2e = inner.l2_entries
-        hmul = _HASH_MULT
-        hmul_k = pow(hmul, order, 1 << 64)
-        cmul = (hmul_k - hmul_k * hmul) & M
-        # slot -> (pc, rolling level-2 hash, salt term); a cache entry
-        # exists only while it matches the slot's latest stride context
-        # (every train of a full-context slot rewrites it, and contexts
-        # never shrink, so a short-context slot can hold no entry).
-        hcache = {}
-        hget = hcache.get
-        accesses = 0
-
-        def dispatch(pc):
-            idx = pc if unlim else (pc >> shift) & mask
-            e = dget(idx)
-            if e is None:
-                return None, False, False
-            strides = e.strides
-            if len(strides) < order:
-                return None, False, False
-            cached = hget(idx)
-            if cached is not None and cached[0] == pc:
-                h = cached[1]
-            else:
-                h = pc & M
-                for v in strides:
-                    h = (h * hmul + v) & M
-                hcache[idx] = (pc, h, (pc * cmul) & M)
-            s2 = l2get(h % l2e)
-            if s2 is None:
-                return None, False, False
-            return (e.last + s2) & M, cget(
-                pc if cunlim else (pc >> cshift) & cmask,
-                0) >= cthr, spec_mode
-
-        def complete(pc, predicted, confident, tag, actual):
-            nonlocal attempts, predictions, correct, confident_n, \
-                confident_correct, accesses
-            attempts += 1
-            if predicted is not None:
-                predictions += 1
-                cidx = pc if cunlim else (pc >> cshift) & cmask
-                cur = cget(cidx, 0)
-                if predicted == actual:
-                    correct += 1
-                    if confident:
-                        confident_n += 1
-                        confident_correct += 1
-                    cur += cup
-                    if cur > cmax:
-                        cur = cmax
-                else:
-                    if confident:
-                        confident_n += 1
-                    cur -= cdown
-                    if cur < 0:
-                        cur = 0
-                cdata[cidx] = cur
-            accesses += 1
-            idx = pc if unlim else (pc >> shift) & mask
-            e = dget(idx)
-            if e is None:
-                e = _DFCMEntry()
-                e.last = actual
-                e.seen = 1
-                data[idx] = e
-            elif e.seen == 0:
-                e.last = actual
-                e.seen = 1
-            else:
-                stride = (actual - e.last) & M
-                strides = e.strides
-                if len(strides) >= order:
-                    cached = hget(idx)
-                    if cached is not None and cached[0] == pc:
-                        h = cached[1]
-                        csalt = cached[2]
-                    else:
-                        h = pc & M
-                        for v in strides:
-                            h = (h * hmul + v) & M
-                        csalt = (pc * cmul) & M
-                    l2[h % l2e] = stride
-                    hcache[idx] = (pc,
-                                   (h * hmul + stride
-                                    - strides[0] * hmul_k + csalt) & M,
-                                   csalt)
-                strides.append(stride)
-                if len(strides) > order:
-                    strides.pop(0)
-                e.last = actual
-                e.seen += 1
-
-        def finalize():
-            l1.accesses += accesses
-            flush()
-
-        return dispatch, complete, finalize
-
-    return None
+    return dispatch, complete, finalize
 
 
 def _sgvq_vp(vp):
@@ -848,7 +688,9 @@ def _hgvq_vp(vp):
     its train step saw even after later out-of-order deposits mutate
     those positions.  Every in-window read stays within the lists
     because deposits and window reads are both bounded by the ring
-    capacity.
+    capacity.  The filler is its family's :func:`_local_ops` form:
+    ``predict`` seeds each slot at dispatch (None seeds 0) and ``train``
+    runs at write-back.
     """
     hy = vp.hybrid
     if type(hy) is not HybridGDiffPredictor:
@@ -860,31 +702,10 @@ def _hgvq_vp(vp):
     ts = _flat_state(table)
     if ts is None:
         return None
-    filler = hy.filler
-    fstride = False
-    fpredict = fupdate = ffinal = None
-    fdata = fdget = None
-    funlim = ftwo = False
-    fmask = fshift = 0
-    faccesses = 0
-    if type(filler) is StridePredictor:
-        ftab = filler._table
-        if type(ftab) is DirectMappedTable and not ftab.tagged \
-                and not ftab.track_conflicts:
-            # The common filler is a stride predictor: inline its
-            # predict/train like the standalone local family above.
-            fstride = True
-            fdata = ftab._data
-            fdget = fdata.get
-            funlim = ftab.entries is None
-            fmask = 0 if funlim else ftab.entries - 1
-            fshift = ftab.pc_shift
-            ftwo = filler.two_delta
-    if not fstride:
-        fops = _inner_ops(filler)
-        if fops is None:
-            return None
-        fpredict, fupdate, ffinal = fops
+    fops = _local_ops(hy.filler, False)
+    if fops is None:
+        return None
+    fpredict, ftrain, ffinal = fops
     (unlim, rows_get, tpresent, tdist, tvalid, tdiffs, tmask, tshift,
      torder, sticky, farthest, refresh) = ts
     stats = vp.stats
@@ -949,15 +770,8 @@ def _hgvq_vp(vp):
                         p0 = lz[1] - d - sbase
                         b0 = dval[p0] if dord[p0] < lz[2] else fillv[p0]
                         predicted = (base + lz[0] - b0) & M
-        if fstride:
-            fe = fdget(pc if funlim else (pc >> fshift) & fmask)
-            if fe is None or fe.seen == 0:
-                fv = 0
-            else:
-                fv = (fe.last + fe.stride * (1 + fe.spec_ahead)) & M
-        else:
-            fv = fpredict(pc)
-            fv = (fv if fv is not None else 0) & M
+        fv = fpredict(pc)
+        fv = (fv if fv is not None else 0) & M
         fillv_append(fv)
         curw_append(fv)
         dval_append(0)
@@ -971,7 +785,7 @@ def _hgvq_vp(vp):
     def complete(pc, predicted, confident, seq, actual):
         nonlocal late, last_sel, wb_ord, accesses, occupied, nrows, \
             attempts, predictions, correct, confident_n, \
-            confident_correct, faccesses
+            confident_correct
         attempts += 1
         if predicted is not None:
             predictions += 1
@@ -1099,30 +913,8 @@ def _hgvq_vp(vp):
             lazy[row] = (actual, seq, my_ord)
             tvalid[row] = vc
             last_sel = 0
-        if fstride:
-            faccesses += 1
-            fidx = pc if funlim else (pc >> fshift) & fmask
-            fe = fdget(fidx)
-            if fe is None:
-                fe = _StrideEntry()
-                fe.last = actual
-                fe.seen = 1
-                fdata[fidx] = fe
-            elif fe.seen == 0:
-                fe.last = actual
-                fe.seen = 1
-            else:
-                fdelta = (actual - fe.last) & M
-                if ftwo:
-                    if fdelta == fe.candidate:
-                        fe.stride = fdelta
-                    fe.candidate = fdelta
-                else:
-                    fe.stride = fdelta
-                fe.last = actual
-                fe.seen += 1
-        elif fupdate is not None:
-            fupdate(pc, actual)
+        if ftrain is not None:
+            ftrain(pc, False, actual)
 
     def finalize():
         queue._next_seq = next_seq
@@ -1149,9 +941,7 @@ def _hgvq_vp(vp):
         stats.correct += correct
         stats.confident += confident_n
         stats.confident_correct += confident_correct
-        if fstride:
-            ftab.accesses += faccesses
-        elif ffinal is not None:
+        if ffinal is not None:
             ffinal()
 
     return dispatch, complete, finalize
