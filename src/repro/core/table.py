@@ -196,8 +196,12 @@ class FlatGDiffTable:
       cannot reach yet, which grow monotonically — so one prefix length
       replaces ``order`` per-slot ``is None`` tests;
     * ``_dist``   (``'H'``): the selected distance, 0 meaning "not locked";
-    * ``_present``/``_owner``/``_owner_set``: slot-ever-written flag plus
-      the aliasing-owner state of :class:`~repro.tables.DirectMappedTable`.
+    * ``_present``: slot-ever-written flag;
+    * ``_owner``/``_owner_set``: the aliasing-owner state of
+      :class:`~repro.tables.DirectMappedTable`, kept only by a bounded
+      table that reads it — a tagged one, or one with a registry
+      attached (allocated zeroed then, so a slot trained before reads as
+      ownerless) — and None otherwise.
 
     Bounded tables are fully preallocated and indexed by masked PC; the
     unlimited profile table keeps a dict mapping PC to a row index into a
@@ -251,8 +255,10 @@ class FlatGDiffTable:
         self._valid = array("H", bytes(2 * rows))
         self._dist = array("H", bytes(2 * rows))
         self._present = bytearray(rows)
-        self._owner = array("Q", bytes(8 * rows))
-        self._owner_set = bytearray(rows)
+        self._owner: Optional[array] = None
+        self._owner_set: Optional[bytearray] = None
+        if tagged:
+            self._keep_owners()
         self._scratch = array("Q", bytes(8 * order))
 
     @property
@@ -262,14 +268,21 @@ class FlatGDiffTable:
     # ------------------------------------------------------------------
     # Row management
     # ------------------------------------------------------------------
+    def _keep_owners(self) -> None:
+        """Allocate zeroed owner arrays for a bounded table, once.
+
+        An unlimited table cannot alias, so it never keeps them.
+        """
+        if self.entries is not None and self._owner is None:
+            self._owner = array("Q", bytes(8 * self.entries))
+            self._owner_set = bytearray(self.entries)
+
     def _grow(self) -> None:
         """Double the unlimited-mode arena."""
         self._diffs.extend(self._diffs)
         self._valid.extend(self._valid)
         self._dist.extend(self._dist)
         self._present.extend(bytes(len(self._present)))
-        self._owner.extend(self._owner)
-        self._owner_set.extend(bytes(len(self._owner_set)))
 
     def row_of(self, pc: int) -> int:
         """Row index holding *pc*'s entry, or -1 (no accounting, no create).
@@ -312,8 +325,10 @@ class FlatGDiffTable:
             # weight (owner would always equal pc), so skip it.
             return row
         idx = (pc >> self.pc_shift) & (self.entries - 1)
+        owner_set = self._owner_set
         if self._present[idx]:
-            if self._owner_set[idx] and self._owner[idx] != pc:
+            if owner_set is not None and owner_set[idx] \
+                    and self._owner[idx] != pc:
                 if self._meters is not None:
                     self.conflicts += 1
                 if self.tagged:
@@ -327,7 +342,7 @@ class FlatGDiffTable:
             self._valid[idx] = 0
         if self._meters is not None or self.tagged:
             self._owner[idx] = pc
-            self._owner_set[idx] = 1
+            owner_set[idx] = 1
         return idx
 
     # ------------------------------------------------------------------
@@ -446,8 +461,11 @@ class FlatGDiffTable:
     def attach_metrics(self, registry, prefix: str = "gdiff") -> None:
         """Wire this table into a :class:`~repro.telemetry.MetricsRegistry`.
 
-        Same meters and collectors as :meth:`GDiffTable.attach_metrics`.
+        Same meters and collectors as :meth:`GDiffTable.attach_metrics`;
+        a bounded table starts keeping slot owners here, for the conflict
+        count.
         """
+        self._keep_owners()
         self._meters = _TrainMeters(registry, prefix)
         table = self
 
@@ -479,4 +497,5 @@ class FlatGDiffTable:
         self.evictions = 0
         # Rows are guarded by _present/_rows; buffer words need no zeroing.
         self._present[:] = bytes(len(self._present))
-        self._owner_set[:] = bytes(len(self._owner_set))
+        if self._owner_set is not None:
+            self._owner_set[:] = bytes(len(self._owner_set))

@@ -1,9 +1,12 @@
 """Tests for the gDiff prediction table and its update rule."""
 
+import pickle
+from array import array
+
 import pytest
 
-from repro.core import GDiffEntry, GDiffTable
-from repro.core.table import DISTANCE_POLICIES
+from repro.core import GDiffEntry, GDiffPredictor, GDiffTable
+from repro.core.table import DISTANCE_POLICIES, FlatGDiffTable
 from repro.telemetry import MetricsRegistry
 
 
@@ -109,3 +112,82 @@ class TestGDiffTable:
         table.train(0x0, [1, 2])
         table.clear()
         assert table.lookup(0x0) is None
+
+
+def _table_state(table):
+    """A flat table's counters and every written row, in table order."""
+    rows = []
+    for idx in range(table.entries):
+        if table._present[idx]:
+            base = idx * table.order
+            rows.append((idx, table._dist[idx], list(
+                table._diffs[base:base + table._valid[idx]])))
+    return (table.accesses, table.conflicts, table.evictions,
+            table.occupied(), rows)
+
+
+class TestFlatOwners:
+    """Slot owners live only where a table reads them: a bounded table
+    that is tagged or has a registry attached."""
+
+    PCS = [0x0, 0x40, 0x4, 0x80, 0x0, 0x44, 0x40, 0x8, 0x0, 0x80]
+
+    def _train(self, table, rounds=3):
+        for r in range(rounds):
+            for i, pc in enumerate(self.PCS):
+                table.train(pc, [(r + i) % 3, 1, (pc >> 2) % 5, r])
+
+    def test_untagged_tables_keep_none(self):
+        bounded = FlatGDiffTable(order=4, entries=16)
+        unlimited = FlatGDiffTable(order=2)
+        self._train(bounded)
+        for pc in range(300):  # grows the unlimited arena past 256 rows
+            unlimited.train(pc << 2, [pc, 1])
+        for table in (bounded, unlimited):
+            assert table._owner is None and table._owner_set is None
+        unlimited.attach_metrics(MetricsRegistry())
+        assert unlimited._owner is None  # an unlimited table cannot alias
+        assert FlatGDiffTable(order=4, entries=16,
+                              tagged=True)._owner_set is not None
+        assert FlatGDiffTable(order=4, tagged=True)._owner is None
+
+    def test_gdiff32_pickle_sheds_the_owner_arrays(self):
+        predictor = GDiffPredictor(order=32, entries=8192)
+        lean = len(pickle.dumps(predictor))
+        table = predictor.table
+        table._owner = array("Q", bytes(8 * 8192))
+        table._owner_set = bytearray(8192)
+        assert len(pickle.dumps(predictor)) - lean >= 9 * 8192
+
+    def test_attach_counts_conflicts_from_then_on(self):
+        table = FlatGDiffTable(order=2, entries=4)
+        table.train(0x0, [1, 2])
+        table.attach_metrics(MetricsRegistry())
+        assert not any(table._owner_set)  # trained before: no owner
+        table.train(0x40, [1, 2])  # aliases the ownerless slot
+        assert table.conflicts == 0
+        table.train(0x0, [1, 2])   # the slot's owner is now 0x40
+        assert table.conflicts == 1
+        table.clear()
+        assert not any(table._owner_set)
+
+    @pytest.mark.parametrize("tagged", [False, True])
+    def test_earlier_layout_pickle_restores_and_trains_identically(
+            self, tagged):
+        """A pickle that carries owner arrays on every bounded table (the
+        earlier layout) restores and trains exactly like a current one."""
+        current = FlatGDiffTable(order=4, entries=16, tagged=tagged)
+        self._train(current)
+        earlier = pickle.loads(pickle.dumps(current))
+        if not tagged:  # an untagged table's arrays were all zero
+            earlier._owner = array("Q", bytes(8 * 16))
+            earlier._owner_set = bytearray(16)
+        restored = pickle.loads(pickle.dumps(earlier))
+        assert _table_state(restored) == _table_state(current)
+        for table in (current, restored):
+            self._train(table, rounds=2)
+            table.attach_metrics(MetricsRegistry())
+            self._train(table, rounds=2)
+        assert _table_state(restored) == _table_state(current)
+        assert bytes(restored._owner_set) == bytes(current._owner_set)
+        assert list(restored._owner) == list(current._owner)

@@ -132,11 +132,13 @@ def _gdiff_rows(table):
     else:
         keyed = [(idx, idx) for idx in range(table.entries)
                  if table._present[idx]]
+    owners = table._owner_set  # kept only where the table reads them
     rows = []
     for key, row in keyed:
         valid = table._valid[row]
         base = row * order
-        owner = table._owner[row] if table._owner_set[row] else None
+        owner = (table._owner[row] if owners is not None and owners[row]
+                 else None)
         rows.append((key, table._dist[row], valid,
                      list(table._diffs[base:base + valid]), owner))
     return rows
@@ -166,6 +168,7 @@ def end_state(predictor):
         state["occupied"] = table.occupied()
         state["locked"] = list(table.locked_distances().items())
         state["rows"] = _gdiff_rows(table)
+        state["keeps_owners"] = table._owner is not None
         state["last_distance"] = predictor.last_distance
     queue = getattr(predictor, "queue", None)
     if isinstance(queue, GlobalValueQueue):
