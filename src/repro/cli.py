@@ -301,14 +301,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_trace(tele: _Telemetry, args: argparse.Namespace,
+                command: str):
+    """Load ``args.benchmark`` at ``args.length`` under the ``trace_gen``
+    timer.  An import the store refuses or finds corrupt (``IngestError``
+    and ``TraceFormatError`` are ``ValueError``s) exits with one line that
+    names the fix, as ``repro workloads`` does, not a traceback."""
+    with tele.timer("trace_gen") as span:
+        try:
+            trace = get(args.benchmark).trace(args.length)
+        except ValueError as exc:
+            raise SystemExit(f"{command}: {exc}")
+        span.items = len(trace)
+    return trace
+
+
 def _trace_gen(args: argparse.Namespace) -> int:
     _require_workload(args.benchmark, "trace gen")
     tele = _Telemetry(args, "trace")
     log.info("generating %s trace (%d instructions)",
              args.benchmark, args.length)
-    with tele.timer("trace_gen") as span:
-        trace = get(args.benchmark).trace(args.length)
-        span.items = len(trace)
+    trace = _load_trace(tele, args, "trace gen")
     print(f"{trace.name}: {trace.stats}", file=tele.human)
     if args.out:
         from .trace.io import save_trace
@@ -484,9 +497,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     tele = _Telemetry(args, "predict")
     log.info("predicting %s over %s (%d instructions, gated=%s)",
              ", ".join(names), args.benchmark, args.length, args.gated)
-    with tele.timer("trace_gen") as span:
-        trace = get(args.benchmark).trace(args.length)
-        span.items = len(trace)
+    trace = _load_trace(tele, args, "predict")
     predictors = {name: PREDICTORS[name]() for name in names}
     _attach_predictor_metrics(predictors, tele.registry)
     progress = tele.progress(f"predict {args.benchmark}: ")
@@ -537,9 +548,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                           metrics=tele.registry)
     log.info("simulating %s (%d instructions, vp=%s, speculate=%s)",
              args.benchmark, args.length, args.vp, args.speculate)
-    with tele.timer("trace_gen") as span:
-        trace = get(args.benchmark).trace(args.length)
-        span.items = len(trace)
+    trace = _load_trace(tele, args, "simulate")
     progress = tele.progress(f"simulate {args.benchmark}: ")
     with tele.timer("simulate") as span:
         result = core.run(trace, on_progress=progress)

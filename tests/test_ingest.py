@@ -335,6 +335,18 @@ class TestStore:
         command = f"repro trace import {source} --name old --force"
         assert command in str(err.value)
         assert "v1" in str(err.value)
+        # Every command that loads the entry exits with one line naming
+        # the command that imports it again, not a traceback.
+        for name, argv in (("predict", ["--predictors", "stride"]),
+                           ("simulate", ["--length", "40"]),
+                           ("trace gen", ["--length", "40"])):
+            with pytest.raises(SystemExit) as exit_:
+                main(name.split() + ["old", "--no-progress"] + argv)
+            assert exit_.value.code.startswith(f"{name}: ")
+            assert command in exit_.value.code
+        with pytest.raises(SystemExit) as exit_:
+            main(["workloads", "--only", "old", "--no-progress"])
+        assert command in exit_.value.code
         assert main(["trace", "list"]) == 0
         assert main(["trace", "info", "old"]) == 0
         capsys.readouterr()
