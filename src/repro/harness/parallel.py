@@ -11,13 +11,13 @@ There is one worker plane: a module-singleton :class:`WorkerPool` of
 long-lived forked workers, and one way onto it, :func:`run_tasks`
 (:func:`run_experiments` is a thin adapter over it; the serve plane pins
 shard workers of the same pool).  Warm per-worker state — the in-process
-:class:`PackedTrace` memo, the pipeline timing memos, the validated
-shared-memory attachments — survives between calls, so a campaign pays
-interpreter spawn and trace materialisation once per worker, not once per
-round.  A worker holds one batch of tasks at a time and replies task by
-task, so a worker that dies takes down only the task it was running: its
-unstarted batch-mates go back to the queue, and the dead worker is
-replaced without restarting the pool.
+:class:`PackedTrace` memo and the pipeline timing memos — survives
+between calls, so a campaign pays interpreter spawn and trace
+materialisation once per worker, not once per round.  A worker holds one
+batch of tasks at a time and replies task by task, so a worker that dies
+takes down only the task it was running: its unstarted batch-mates go
+back to the queue, and the dead worker is replaced without restarting
+the pool.
 
 Determinism is a hard requirement: a worker computes *exactly* what the
 serial path computes (same experiment function, same arguments, fresh
@@ -49,7 +49,6 @@ from typing import (
 )
 
 from ..telemetry import MetricsRegistry, get_logger
-from ..trace import shm
 from .experiments import EXPERIMENT_INPUTS, EXPERIMENTS, run_experiment
 from .report import ExperimentResult
 
@@ -65,8 +64,8 @@ POOL_FAILURES = (BrokenProcessPool, OSError, PermissionError,
 
 #: Environment keys with this prefix are mirrored into persistent workers
 #: before every dispatch: a forked worker outlives the environment it was
-#: born under (tests monkeypatch ``REPRO_CACHE_DIR`` and ``REPRO_SHM``),
-#: so each call re-synchronises.
+#: born under (tests monkeypatch ``REPRO_CACHE_DIR``), so each call
+#: re-synchronises.
 _ENV_PREFIX = "REPRO_"
 
 
@@ -147,8 +146,8 @@ def _pool_worker_main(conn) -> None:  # pragma: no cover - subprocess body
     """Persistent worker loop: apply setup envelopes, run task batches.
 
     Everything module-level survives between batches — that is the point:
-    the trace memo, pipeline timing memos, and shared-memory attachments
-    stay warm for the worker's whole life.
+    the trace memo and the pipeline timing memos stay warm for the
+    worker's whole life.
     """
     while True:
         try:
@@ -159,10 +158,7 @@ def _pool_worker_main(conn) -> None:  # pragma: no cover - subprocess body
         if kind == "stop":
             break
         if kind == "setup":
-            env, handles = msg[1], msg[2]
-            _sync_environ(env)
-            if handles is not None:
-                shm.install_table(handles)
+            _sync_environ(msg[1])
             continue
         _kind, fn, tagged = msg  # ("batch", fn, [(tid, item), ...])
         for tid, item in tagged:
@@ -189,8 +185,7 @@ def _pool_worker_main(conn) -> None:  # pragma: no cover - subprocess body
 class _Worker:
     """One persistent worker process plus its driver-side pipe end."""
 
-    __slots__ = ("proc", "conn", "inflight", "shm_version", "pinned",
-                 "setup_sig")
+    __slots__ = ("proc", "conn", "inflight", "pinned", "setup_sig")
 
     def __init__(self, ctx) -> None:
         driver_end, worker_end = ctx.Pipe(duplex=True)
@@ -200,13 +195,12 @@ class _Worker:
         worker_end.close()  # the child holds it now; keep EOF detectable
         self.conn = driver_end
         self.inflight: List[int] = []
-        self.shm_version = -1
         #: Pinned workers host shard-affine state (the serve plane):
         #: shard *i* always dispatches to worker *i*.
         self.pinned = False
-        #: Signature of the last ("setup", ...) envelope shipped, so the
+        #: The env of the last ("setup", env) envelope shipped, so the
         #: sharded dispatch path can skip redundant env re-syncs.
-        self.setup_sig: Optional[Tuple] = None
+        self.setup_sig: Optional[Dict[str, str]] = None
 
 
 class WorkerPool:
@@ -243,13 +237,11 @@ class WorkerPool:
         _count(registry, "pool.spawn")
         return worker
 
-    def _setup(self, worker: _Worker,
-               version: int, handles, env: Dict[str, str]) -> None:
-        """Ship the dispatch envelope: env sync + shm handle table."""
-        payload = handles if worker.shm_version != version else None
-        worker.conn.send(("setup", env, payload))
-        worker.shm_version = version
-        worker.setup_sig = (version, tuple(sorted(env.items())))
+    @staticmethod
+    def _setup(worker: _Worker, env: Dict[str, str]) -> None:
+        """Ship the dispatch envelope: the driver's ``REPRO_*`` env."""
+        worker.conn.send(("setup", env))
+        worker.setup_sig = env
 
     @staticmethod
     def _stop_worker(worker: _Worker) -> None:
@@ -337,7 +329,6 @@ class WorkerPool:
         active = list(self._workers[:want])
         env = {k: v for k, v in os.environ.items()
                if k.startswith(_ENV_PREFIX)}
-        version, handles = shm.current_table()
 
         def resolve(tid: int, outcome: Tuple[str, Any]) -> None:
             outcomes[tid] = outcome
@@ -383,7 +374,7 @@ class WorkerPool:
             if pending and send_error is None:
                 try:
                     replacement = self._spawn(registry)
-                    self._setup(replacement, version, handles, env)
+                    self._setup(replacement, env)
                 except OSError as exc:  # pragma: no cover - fork refused
                     send_error = exc
                 else:
@@ -411,7 +402,7 @@ class WorkerPool:
 
         try:
             for worker in active:
-                self._setup(worker, version, handles, env)
+                self._setup(worker, env)
         except OSError as exc:
             # A fresh worker refusing its envelope means the pool cannot
             # run here at all (e.g. a sandbox killed the fork) — surface
@@ -507,19 +498,17 @@ class WorkerPool:
                    registry: Optional[MetricsRegistry] = None) -> None:
         """Send one tagged batch to the pinned worker *index*.
 
-        Re-ships the ("setup", env, handles) envelope only when the
-        driver's ``REPRO_*`` environment or the shm handle table changed
-        since this worker's last dispatch — the steady-state serve path
-        pays one pipe write per batch.  Raises ``OSError`` when the
-        worker's pipe is gone (caller reaps via :meth:`shard_replace`).
+        Re-ships the ("setup", env) envelope only when the driver's
+        ``REPRO_*`` environment changed since this worker's last
+        dispatch — the steady-state serve path pays one pipe write per
+        batch.  Raises ``OSError`` when the worker's pipe is gone
+        (caller reaps via :meth:`shard_replace`).
         """
         worker = self._shard_worker(index)
         env = {k: v for k, v in os.environ.items()
                if k.startswith(_ENV_PREFIX)}
-        version, handles = shm.current_table()
-        sig = (version, tuple(sorted(env.items())))
-        if worker.setup_sig != sig:
-            self._setup(worker, version, handles, env)
+        if worker.setup_sig != env:
+            self._setup(worker, env)
         worker.conn.send(("batch", fn, [(tag, item)]))
         worker.inflight.append(tag)
         _count(registry, "pool.batches")

@@ -17,9 +17,10 @@ Configuration:
 
 * ``REPRO_CACHE_DIR`` — cache directory (default
   ``~/.cache/repro-traces``).
-* ``REPRO_CACHE=0`` — disable the cache entirely: no memo, shm or disk
-  tier is read or written, and every call generates its trace afresh.
-  The trace is still a ``PackedTrace``, so the same code runs either way.
+* ``REPRO_CACHE=0`` — disable the cache entirely: neither the memo nor
+  the disk tier is read or written, and every call generates its trace
+  afresh.  The trace is still a ``PackedTrace``, so the same code runs
+  either way.
 
 Telemetry: an attached :class:`~repro.telemetry.MetricsRegistry` receives
 ``cache.hit`` / ``cache.miss`` / ``cache.store`` / ``cache.invalid`` /
@@ -40,7 +41,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..telemetry import get_logger
-from . import shm
 from .io import PACKED_FORMAT_VERSION, TraceFormatError, load_packed, save_packed
 from .packed import PackedTrace
 from .synthetic import WorkloadSpec
@@ -81,8 +81,8 @@ def effective_length(spec: WorkloadSpec, length: int) -> int:
     Synthetic generators are endless, but imported workloads
     (:class:`repro.trace.ingest.store.ImportedWorkloadSpec`) carry a
     ``fixed_length``: asking for more instructions than the recording
-    holds silently serves the whole recording.  Every tier (memo, shm,
-    disk) keys on the clamped length, so an over-long request and an
+    holds silently serves the whole recording.  Both tiers (memo and
+    disk) key on the clamped length, so an over-long request and an
     exact request share one entry instead of regenerating forever.
     """
     fixed = getattr(spec, "fixed_length", None)
@@ -432,7 +432,7 @@ def default_cache(metrics=None) -> TraceCache:
     return TraceCache(metrics=metrics)
 
 
-#: In-process memo over the disk/shm tiers: repeated experiment calls
+#: In-process memo over the disk tier: repeated experiment calls
 #: (bench rounds, campaign sweeps, warm pool workers) get the *same*
 #: ``PackedTrace`` object back, so per-trace derived state keyed by
 #: object identity — the pipeline kernel's dataflow/fetch/timing
@@ -443,24 +443,8 @@ def default_cache(metrics=None) -> TraceCache:
 #: recently used entry (``cache.mem_evict``).
 _MEM_CACHE: "OrderedDict[tuple, PackedTrace]" = OrderedDict()
 
-#: Default memo capacity; ``REPRO_MEM_CACHE`` overrides per process (a
-#: many-stream serve worker tunes memo pressure up or down; ``0``
-#: disables the memo without touching the disk/shm tiers).
+#: Memo capacity, in traces.
 _MEM_CAP = 12
-
-
-def mem_cache_cap() -> int:
-    """Effective memo capacity: ``REPRO_MEM_CACHE`` when it parses as a
-    non-negative integer, :data:`_MEM_CAP` otherwise."""
-    raw = os.environ.get("REPRO_MEM_CACHE", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            return _MEM_CAP
-        if cap >= 0:
-            return cap
-    return _MEM_CAP
 
 
 def _memo_get(memo_key: tuple, metrics) -> Optional[PackedTrace]:
@@ -477,16 +461,7 @@ def _memo_get(memo_key: tuple, metrics) -> Optional[PackedTrace]:
 
 
 def _memo_put(memo_key: tuple, trace: PackedTrace, metrics) -> None:
-    cap = mem_cache_cap()
-    if cap <= 0:
-        # Memo disabled: anything resident (the cap may have just been
-        # lowered) is evicted, and the new trace is not retained.
-        while _MEM_CACHE:
-            _MEM_CACHE.popitem(last=False)
-            if metrics is not None:
-                metrics.counter("cache.mem_evict").inc()
-        return
-    while len(_MEM_CACHE) >= cap:
+    while len(_MEM_CACHE) >= _MEM_CAP:
         _MEM_CACHE.popitem(last=False)
         if metrics is not None:
             metrics.counter("cache.mem_evict").inc()
@@ -505,10 +480,8 @@ def cached_trace(workload: Union[str, WorkloadSpec], length: int,
     the cache is enabled and generated afresh otherwise.
 
     Lookup tiers, cheapest first: the in-process memo (same object
-    back), the shared-memory trace plane (zero-copy attach to a segment
-    the campaign driver published — see :mod:`repro.trace.shm`), then
-    the on-disk cache.  Every tier yields bit-identical columns; shm
-    and memo hits both count ``cache.hit``.
+    back), then the on-disk cache.  Both yield bit-identical columns,
+    and a memo hit counts ``cache.hit`` as a disk hit does.
     """
     spec = _resolve(workload)
     if not cache_enabled():
@@ -520,13 +493,7 @@ def cached_trace(workload: Union[str, WorkloadSpec], length: int,
     hit = _memo_get(memo_key, metrics)
     if hit is not None:
         return hit
-    trace = shm.shm_trace(spec.name, length, effective_seed,
-                          code_copies, metrics=metrics)
-    if trace is not None:
-        if metrics is not None:
-            metrics.counter("cache.hit").inc()
-    else:
-        trace = default_cache(metrics=metrics).load_or_generate(
-            spec, length, seed=seed, code_copies=code_copies)
+    trace = default_cache(metrics=metrics).load_or_generate(
+        spec, length, seed=seed, code_copies=code_copies)
     _memo_put(memo_key, trace, metrics)
     return trace

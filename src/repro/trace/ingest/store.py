@@ -12,8 +12,8 @@ override with ``REPRO_IMPORT_DIR``) holding, per imported workload,
 
 Imported workloads are then first class: ``workloads.get(name)``
 resolves them to an :class:`ImportedWorkloadSpec`, so the trace cache,
-shared-memory plane, campaign scheduler, serve plane, and every
-experiment consume them exactly like synthetic benchmarks.  The one
+campaign scheduler, serve plane, and every experiment consume them
+exactly like synthetic benchmarks.  The one
 semantic difference — an imported trace is *finite* — is carried by
 :attr:`ImportedWorkloadSpec.fixed_length`; the cache clamps requested
 lengths to it (see :func:`repro.trace.cache.effective_length`), and

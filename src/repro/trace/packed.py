@@ -42,11 +42,11 @@ from one iteration.  The serialised twin of this layout is the binary
 trace-cache format in :mod:`repro.trace.io`.
 
 Columns are normally ``array`` objects, but any buffer exposing the same
-typed-element protocol works: the shared-memory trace plane
-(:mod:`repro.trace.shm`) backs them with zero-copy ``memoryview`` casts
-over a ``multiprocessing.shared_memory`` segment.  Pickling always
-materialises plain ``array`` columns first, so a shm-backed trace ships
-by value rather than by (process-local) buffer reference.
+typed-element protocol works: the trace benchmarks' shared-memory
+segments (:mod:`repro.trace.shm`) back them with zero-copy
+``memoryview`` casts.  Pickling always materialises plain ``array``
+columns first, so a buffer-backed trace ships by value rather than by
+(process-local) buffer reference.
 """
 
 from __future__ import annotations

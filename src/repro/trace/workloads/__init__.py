@@ -65,8 +65,8 @@ def get(name: str) -> WorkloadSpec:
 
     Resolution order: the synthetic SPECint-like suite, the adversarial
     bank (:mod:`.adversarial`), then the imported-workload store
-    (:mod:`repro.trace.ingest.store`) — so every consumer (cache, shm
-    plane, campaigns, serve) accepts imported and adversarial names
+    (:mod:`repro.trace.ingest.store`) — so every consumer (cache,
+    campaigns, serve) accepts imported and adversarial names
     wherever a benchmark name is accepted.
     """
     module = _MODULES.get(name)

@@ -1,8 +1,8 @@
 """The adversarial scenario specs and their expectation bands.
 
 Each scenario is a :class:`WorkloadSpec` (or a composing subclass), so
-the whole stack — trace cache, shm plane, fused kernels, pipeline,
-campaign scheduler, serve plane — consumes it like any benchmark.
+the whole stack — trace cache, fused kernels, pipeline, campaign
+scheduler, serve plane — consumes it like any benchmark.
 
 ``EXPECTATIONS`` carries fidelity-style accuracy bands per scenario and
 predictor, calibrated at :data:`EXPECT_LENGTH` instructions with each

@@ -918,7 +918,7 @@ class TestTraceResidency:
         scheduler(spec, None).warm_cache(cells)  # fill the disk cache
         reg = MetricsRegistry()
         assert scheduler(spec, None, registry=reg).warm_cache(cells) == traces
-        assert shm.current_table()[1] == ()
+        assert not shm._PUBLISHED
         counters = reg.as_dict()["counters"]
         assert "shm.publish" not in counters
         assert counters["cache.hit"] == traces
@@ -936,7 +936,7 @@ class TestTraceResidency:
         counters = reg.as_dict()["counters"]
         assert counters["cache.store"] == 3
         assert "shm.publish" not in counters
-        assert shm.current_table()[1] == ()
+        assert not shm._PUBLISHED
 
     def test_damaged_entry_is_regenerated_by_its_worker(
             self, tmp_path, monkeypatch, no_publications):

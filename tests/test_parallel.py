@@ -7,6 +7,8 @@ fallback when the pool cannot be used.
 """
 
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -24,6 +26,9 @@ from repro.harness.parallel import (
     shutdown_pool,
 )
 from repro.telemetry import MetricsRegistry
+from repro.trace import shm
+from repro.trace.cache import cached_trace, memo_clear
+from repro.trace.workloads import get
 
 #: Small-but-representative slice of the registry: one profile experiment
 #: and one sweep, two benchmarks, short traces.
@@ -484,3 +489,58 @@ class TestShardAPI:
         _k, _t, (pid1_again, _p) = pool.shard_recv(1)
         assert pid1_again == pid1
         shutdown_pool()
+
+
+#: The trace the published-trace test reads in the driver and its workers.
+PUBLISHED_BENCH = "gzip"
+PUBLISHED_LENGTH = 3000
+
+
+def _load_published(_x):  # pragma: no cover - subprocess
+    """Pool cell: read the published trace's key through the cache."""
+    reg = MetricsRegistry()
+    trace = cached_trace(PUBLISHED_BENCH, PUBLISHED_LENGTH, metrics=reg)
+    columns = {col: bytes(data) for col, data in trace.columns().items()}
+    return columns, reg.as_dict()["counters"]
+
+
+class TestTraceTiers:
+    """A worker reads its traces from the memo or the disk cache only; a
+    trace the driver publishes to shared memory is never attached."""
+
+    def test_workers_skip_a_published_trace(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        shutdown_pool()
+        trace = cached_trace(PUBLISHED_BENCH, PUBLISHED_LENGTH)
+        key = (PUBLISHED_BENCH, PUBLISHED_LENGTH,
+               get(PUBLISHED_BENCH).seed, 1)
+        assert shm.publish(trace, key) is not None
+        memo_clear()  # forked workers must not inherit the driver's memo
+        try:
+            outcomes = run_tasks(_load_published, range(4), max_workers=2)
+        finally:
+            shutdown_pool()
+            shm.unpublish_all()
+            memo_clear()
+        expected = {col: bytes(data)
+                    for col, data in trace.columns().items()}
+        assert [status for status, _value in outcomes] == [TASK_OK] * 4
+        assert all(columns == expected for _s, (columns, _c) in outcomes)
+        assert sum(counters.get("shm.attach", 0)
+                   for _s, (_columns, counters) in outcomes) == 0
+
+    def test_runtime_imports_no_shared_memory(self):
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "src")
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import repro.cli, repro.campaign.scheduler\n"
+            "import repro.harness.parallel, repro.serve.engine\n"
+            "print(' '.join(m for m in ('repro.trace.shm',\n"
+            "                           'multiprocessing.shared_memory')\n"
+            "               if m in sys.modules))\n")
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == []

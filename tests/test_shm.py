@@ -1,9 +1,9 @@
-"""Shared-memory trace plane: lifecycle, integrity, and fallback.
+"""Shared-memory trace segments: lifecycle and integrity.
 
-The shm tier may *never* change an experiment's numbers: an attached
-trace must be bit-identical to the disk-cache load, a corrupt segment
-must be refused (checksum) and fall back cleanly, and a vanished
-publisher must degrade to the disk path rather than crash a worker.
+An attached trace must be bit-identical to the disk-cache load, a
+corrupt or truncated segment must be refused (``ShmError``), and a
+publisher's segments must go with it, not with a forked child that only
+inherited its table.
 """
 
 import os
@@ -88,26 +88,14 @@ class TestPublishAttach:
         assert clone.columns()["values"].tolist() == \
             trace.columns()["values"].tolist()
 
-    def test_publisher_local_lookup_returns_original(self):
-        trace, key = _packed()
-        shm.publish(trace, key)
-        reg = MetricsRegistry()
-        assert shm.shm_trace(*key, metrics=reg) is trace
-        assert reg.as_dict()["counters"]["shm.local_hit"] == 1
-
 
 class TestLifecycle:
-    def test_refcounted_release(self):
+    def test_republish_returns_existing_handle(self):
         trace, key = _packed()
         handle = shm.publish(trace, key)
-        again = shm.publish(trace, key)  # second publisher, same key
-        assert again.segment == handle.segment
-        shm.release(key)
-        assert shm.attach(handle) is not None  # one ref left: still live
-        shm.detach_all()
-        shm.release(key)
-        with pytest.raises(shm.ShmError):
-            shm.attach(handle)
+        again = shm.publish(trace, key)  # same key: no second segment
+        assert again == handle
+        assert shm.unpublish_all() == 1
 
     def test_unpublish_all_unlinks(self):
         trace, key = _packed()
@@ -118,7 +106,7 @@ class TestLifecycle:
 
     def test_attach_after_publisher_exit_falls_back(self, tmp_path):
         """A publisher that exits cleans its segments (atexit); a later
-        attach must fail soft and ``shm_trace`` must fall back to None."""
+        attach finds no segment."""
         src = os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             "src")
@@ -145,17 +133,23 @@ class TestLifecycle:
             seg.close()
 
     def test_release_is_pid_guarded(self):
-        """A forked child must not be able to destroy driver segments;
-        release in a non-owner process is a no-op."""
+        """A forked child must not be able to destroy its parent's
+        segments: ``unpublish_all`` in a non-owner process unlinks
+        nothing."""
         trace, key = _packed()
         handle = shm.publish(trace, key)
+        segment = shm._PUBLISHED[key][0]
         owner = shm._OWNER_PID
         try:
             shm._OWNER_PID = os.getpid() + 1  # simulate someone else's table
-            shm.release(key)
+            assert shm.unpublish_all() == 0
         finally:
             shm._OWNER_PID = owner
-        assert shm.attach(handle) is not None  # survived the foreign release
+        try:
+            assert shm.attach(handle) is not None  # survived the child
+        finally:
+            shm.detach_all()
+            shm._destroy(segment)  # the table forgot it: unlink by hand
 
 
 class TestIntegrity:
@@ -173,29 +167,6 @@ class TestIntegrity:
             shm.attach(handle, metrics=reg)
         assert reg.as_dict()["counters"]["shm.checksum_refused"] == 1
 
-    def test_corrupt_segment_falls_back_to_disk(self):
-        trace, key = _packed()
-        reg = MetricsRegistry()
-        handle = shm.publish(trace, key)
-        _col, _tc, offset, _nbytes = handle.layout[0]
-        seg = shm._shared_memory.SharedMemory(name=handle.segment,
-                                              create=False)
-        seg.buf[offset] = seg.buf[offset] ^ 0xFF
-        seg.close()
-        shm.install_table([handle])
-        owner = shm._OWNER_PID
-        try:
-            shm._OWNER_PID = os.getpid() + 1  # look like a worker
-            assert shm.shm_trace(*key, metrics=reg) is None
-        finally:
-            shm._OWNER_PID = owner
-        assert reg.as_dict()["counters"]["shm.fallback"] == 1
-        # The disk tier still serves the exact trace.
-        memo_clear()
-        disk = cached_trace(BENCH, LENGTH)
-        assert disk.columns()["pcs"].tolist() == \
-            trace.columns()["pcs"].tolist()
-
     def test_truncated_segment_refused(self):
         trace, key = _packed()
         handle = shm.publish(trace, key)
@@ -206,30 +177,3 @@ class TestIntegrity:
             nbytes=handle.nbytes * 2)
         with pytest.raises(shm.ShmError, match="bytes"):
             shm.attach(bad)
-
-
-class TestDisabled:
-    def test_env_gate_disables_lookup(self, monkeypatch):
-        trace, key = _packed()
-        shm.publish(trace, key)
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert not shm.shm_enabled()
-        assert shm.shm_trace(*key) is None
-
-    def test_disabled_path_bit_identical(self, monkeypatch):
-        """REPRO_SHM=0 must serve byte-for-byte the same trace
-        through the disk path as the shm path serves."""
-        via_shm, key = _packed()
-        shm.publish(via_shm, key)
-        handle = shm.current_table()[1][0]
-        attached = shm.attach(handle)
-        monkeypatch.setenv("REPRO_SHM", "0")
-        memo_clear()
-        via_disk = cached_trace(BENCH, LENGTH)
-        for col, data in via_disk.columns().items():
-            assert bytes(attached.columns()[col]) == bytes(data), col
-
-    def test_publish_noop_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        trace, key = _packed()
-        assert shm.publish(trace, key) is None

@@ -253,7 +253,7 @@ class TestEnvironment:
 
 
 class TestMemoLRU:
-    """The in-process memo over the disk/shm tiers is a true LRU: hits
+    """The in-process memo over the disk tier is a true LRU: hits
     refresh recency and are counted, inserts past the cap evict the
     least recently used entry."""
 
@@ -298,58 +298,9 @@ class TestMemoLRU:
         second = cached_trace("twolf", 500, metrics=reg)
         assert second is not first  # different root, different entry
 
-
-class TestMemoCapEnv:
-    """``REPRO_MEM_CACHE`` tunes the memo capacity per process; ``0``
-    disables retention entirely.  ``cache.mem_evict`` counts every entry
-    the cap pushes out, including residents evicted by a cap of 0."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_memo(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_MEM_CACHE", raising=False)
-        memo_clear()
-        yield
-        memo_clear()
-
-    def test_env_overrides_default_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEM_CACHE", "1")
-        assert cache_mod.mem_cache_cap() == 1
-        reg = MetricsRegistry()
-        a = cached_trace("twolf", 500, metrics=reg)
-        cached_trace("gcc", 500, metrics=reg)  # evicts twolf
-        snap = reg.as_dict()["counters"]
-        assert snap["cache.mem_evict"] == 1
-        assert cached_trace("twolf", 500, metrics=reg) is not a
-        assert len(cache_mod._MEM_CACHE) == 1
-
-    def test_zero_disables_retention(self, monkeypatch):
-        reg = MetricsRegistry()
-        resident = cached_trace("twolf", 500, metrics=reg)
-        assert len(cache_mod._MEM_CACHE) == 1
-        monkeypatch.setenv("REPRO_MEM_CACHE", "0")
-        second = cached_trace("gcc", 500, metrics=reg)
-        # Nothing retained, and the prior resident was evicted (counted).
-        assert len(cache_mod._MEM_CACHE) == 0
-        snap = reg.as_dict()["counters"]
-        assert snap["cache.mem_evict"] == 1
-        assert snap.get("cache.mem_hit", 0) == 0
-        assert list(second) == list(cached_trace("gcc", 500, metrics=reg))
-        assert resident is not None  # the object itself is untouched
-
-    def test_garbage_and_negative_fall_back_to_default(self, monkeypatch):
-        assert cache_mod.mem_cache_cap() == cache_mod._MEM_CAP
-        monkeypatch.setenv("REPRO_MEM_CACHE", "not-a-number")
-        assert cache_mod.mem_cache_cap() == cache_mod._MEM_CAP
-        monkeypatch.setenv("REPRO_MEM_CACHE", "-3")
-        assert cache_mod.mem_cache_cap() == cache_mod._MEM_CAP
-        monkeypatch.setenv("REPRO_MEM_CACHE", "  7  ")
-        assert cache_mod.mem_cache_cap() == 7
-
     def test_evict_count_matches_actual_evictions(self, monkeypatch):
         """The counter reflects entries actually dropped, not puts."""
-        monkeypatch.setenv("REPRO_MEM_CACHE", "2")
+        monkeypatch.setattr(cache_mod, "_MEM_CAP", 2)
         reg = MetricsRegistry()
         for name in ("twolf", "gcc", "mcf", "gzip"):
             cached_trace(name, 500, metrics=reg)
