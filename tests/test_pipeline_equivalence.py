@@ -24,8 +24,6 @@ speculative config (regression guard for used-speculation marking on
 port-blocked ready entries), and the decline paths.
 """
 
-import os
-
 import pytest
 
 from repro.core import GDiffPredictor, HybridGDiffPredictor
@@ -426,8 +424,7 @@ def test_declines(monkeypatch):
     assert run_fast(OutOfOrderCore(), packed) is None
 
 
-def test_kernel_enabled_by_default():
-    assert os.environ.get("REPRO_KERNELS", "1") != "0" or True
+def test_kernel_enabled_by_default(monkeypatch):
     from repro.pipeline.kernels import kernels_enabled
-    if "REPRO_KERNELS" not in os.environ:
-        assert kernels_enabled()
+    monkeypatch.delenv("REPRO_KERNELS", raising=False)
+    assert kernels_enabled()
