@@ -1,25 +1,26 @@
-"""Shared-memory trace plane + persistent worker pool — campaign-scale
+"""Shared-memory trace segments + persistent worker pool — campaign-scale
 orchestration overhead.
 
 At sweep scale the harness itself can be the bottleneck: a pool started
 per round and a disk load per worker pay for the *same* packed trace
 over and over.  Two floors:
 
-* **Per-cell trace acquisition ≥ 10x vs the warm disk load.**  A worker
-  acquires its trace through :func:`repro.trace.shm.shm_trace`: the first
-  touch of a segment maps it and validates every column checksum, every
-  later touch is a validated-mapping hit.  Amortised over one 8-cell
-  worker round that beats re-inflating the zlib disk entry per cell by
+* **Per-cell trace acquisition ≥ 10x vs the warm disk load.**  A reader
+  acquires a published trace through :func:`repro.trace.shm.attach`: the
+  first touch of a segment maps it and validates every column checksum,
+  every later touch is a validated-mapping hit.  Amortised over one
+  8-cell round that beats re-inflating the zlib disk entry per cell by
   well over an order of magnitude.  (The *cold* attach alone is
   checksum-bound — reported as ``shm_attach_cold_ms`` for the record,
   it is roughly the CRC scan of the columns.)
 * **4-worker campaign round ≥ 1.5x vs a new pool per round.**
   The same cell batch dispatched through the persistent pool (workers
-  reused, traces attached once) against a baseline that starts a new
+  reused; each loads the trace from the warm disk entry once and reads
+  its in-process memo after that) against a baseline that starts a new
   :class:`~repro.harness.parallel.WorkerPool` for every round and shuts
-  it down at the end of the round, both inside the timed round, with
-  ``REPRO_SHM=0`` (a disk load per worker per round).  Both sides must
-  produce identical results before speed counts.
+  it down at the end of the round, both inside the timed round (a disk
+  load per worker per round).  Both sides must produce identical
+  results before speed counts.
 
 Measured values land in ``BENCH_metrics.json`` under
 ``metrics.parallel`` with ``_x`` keys, so ``repro bench check`` gates
@@ -153,30 +154,19 @@ def _run_rounds(registry, new_pool_per_round=False):
 
 
 def bench_warm_pool_campaign_round(benchmark, record_metrics):
-    """A 4-worker cell round: persistent pool + shm vs pool-per-round."""
-    spec = get(BENCH)
-    trace = default_cache().load_or_generate(spec, LENGTH)
+    """A 4-worker cell round: persistent pool vs pool-per-round."""
+    default_cache().load_or_generate(get(BENCH), LENGTH)  # both sides' entry
 
-    saved = os.environ.get("REPRO_SHM")
-    try:
-        os.environ["REPRO_SHM"] = "0"
-        shutdown_pool()
-        memo_clear()  # forked workers must not inherit a warm driver memo
-        fresh_outcomes, fresh_s = _run_rounds(MetricsRegistry(),
-                                              new_pool_per_round=True)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SHM", None)
-        else:
-            os.environ["REPRO_SHM"] = saved
+    shutdown_pool()
+    memo_clear()  # forked workers must not inherit a warm driver memo
+    fresh_outcomes, fresh_s = _run_rounds(MetricsRegistry(),
+                                          new_pool_per_round=True)
 
     shutdown_pool()
     memo_clear()
-    shm.publish(trace, (BENCH, LENGTH, spec.seed, 1))
     warm_reg = MetricsRegistry()
     warm_outcomes, warm_s = _run_rounds(warm_reg)
     shutdown_pool()
-    shm.unpublish_all()
 
     # Equivalence before speed: identical per-cell results either way.
     assert warm_outcomes == fresh_outcomes
