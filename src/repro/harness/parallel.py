@@ -185,7 +185,7 @@ def _pool_worker_main(conn) -> None:  # pragma: no cover - subprocess body
 class _Worker:
     """One persistent worker process plus its driver-side pipe end."""
 
-    __slots__ = ("proc", "conn", "inflight", "pinned", "setup_sig")
+    __slots__ = ("proc", "conn", "inflight", "pinned", "setup_env")
 
     def __init__(self, ctx) -> None:
         driver_end, worker_end = ctx.Pipe(duplex=True)
@@ -200,7 +200,7 @@ class _Worker:
         self.pinned = False
         #: The env of the last ("setup", env) envelope shipped, so the
         #: sharded dispatch path can skip redundant env re-syncs.
-        self.setup_sig: Optional[Dict[str, str]] = None
+        self.setup_env: Optional[Dict[str, str]] = None
 
 
 class WorkerPool:
@@ -241,7 +241,7 @@ class WorkerPool:
     def _setup(worker: _Worker, env: Dict[str, str]) -> None:
         """Ship the dispatch envelope: the driver's ``REPRO_*`` env."""
         worker.conn.send(("setup", env))
-        worker.setup_sig = env
+        worker.setup_env = env
 
     @staticmethod
     def _stop_worker(worker: _Worker) -> None:
@@ -507,7 +507,7 @@ class WorkerPool:
         worker = self._shard_worker(index)
         env = {k: v for k, v in os.environ.items()
                if k.startswith(_ENV_PREFIX)}
-        if worker.setup_sig != env:
+        if worker.setup_env != env:
             self._setup(worker, env)
         worker.conn.send(("batch", fn, [(tag, item)]))
         worker.inflight.append(tag)
